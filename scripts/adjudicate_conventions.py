@@ -21,9 +21,12 @@ from svgeom import (
     tube_volume,
     variance_profile,
 )
-from svgeom.weingarten import gaussian_weingarten_batch, sample_block_matrix_batch
-
-PROFILES = ("def-d", "weingarten", "corollary")
+from svgeom.matchings import MINOR_MODES
+from svgeom.weingarten import (
+    PROFILE_NAMES,
+    gaussian_weingarten_batch,
+    sample_block_matrix_batch,
+)
 
 
 def sigmas(value, reference, std_error):
@@ -49,7 +52,7 @@ def main() -> None:
     print("== minor multiplicities (order-two product of circles) ==")
     seg = SpaceSpec((2, 2), (1, 1))
     est = mc_minor_sum(seg, 1, McConfig(args.samples, args.seed))
-    for mode in ("corrected", "paper"):
+    for mode in MINOR_MODES:
         value = expected_minor_sum(seg, 1, mode=mode)
         print(f"  {mode:>9}: {value:+.4f} "
               f"({sigmas(est.mean, value, est.std_error):.1f} SE from mc "
@@ -58,7 +61,7 @@ def main() -> None:
     print("== variance profile, minor level (degree-three curve family) ==")
     cubic = SpaceSpec((2,), (3,))
     est = mc_minor_sum(cubic, 1, McConfig(args.samples, args.seed))
-    for name in PROFILES:
+    for name in PROFILE_NAMES:
         value = expected_minor_sum(cubic, 1, variance_profile(name, cubic.degrees))
         print(f"  {name:>10}: {value:+.4f} "
               f"({sigmas(est.mean, value, est.std_error):.1f} SE from mc "
@@ -67,7 +70,7 @@ def main() -> None:
     print("== variance profile, distribution level (KS on determinants) ==")
     rng = np.random.default_rng(args.seed)
     assembled = np.linalg.det(gaussian_weingarten_batch(cubic, rng, 20_000))
-    for name in PROFILES:
+    for name in PROFILE_NAMES:
         profile = variance_profile(name, cubic.degrees)
         direct = np.linalg.det(
             sample_block_matrix_batch(cubic.dims, profile, rng, 20_000))
@@ -78,7 +81,7 @@ def main() -> None:
     print("== tube volume with the adjudicated profile (quadratic surface) ==")
     quad = SpaceSpec((2,), (2,))
     est = mc_tube_volume(quad, 0.4, McConfig(args.samples, args.seed))
-    for name in PROFILES:
+    for name in PROFILE_NAMES:
         value = tube_volume(quad, 0.4,
                             profile=variance_profile(name, quad.degrees)).volume
         print(f"  {name:>10}: {value:.5f} "

@@ -18,6 +18,7 @@ from .bw_algebra import SpaceSpec
 from .errors import DomainError, ResourceError
 from .geodesics_reach import extremal_curvature, reach
 from .matchings import (
+    MINOR_MODES,
     MatchingProblem,
     expected_minor_sum,
     matching_count,
@@ -25,10 +26,8 @@ from .matchings import (
 )
 from .montecarlo import McConfig, mc_expected_det, mc_tube_volume
 from .selftest import run_all
-from .tube import tube_volume
-from .weingarten import sample_gaussian_weingarten, variance_profile
-
-PROFILE_CHOICES = ("def-d", "weingarten", "corollary")
+from .tube import EXPONENT_CONVENTIONS, tube_volume
+from .weingarten import PROFILE_NAMES, sample_gaussian_weingarten, variance_profile
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,12 +61,13 @@ def _add_space_args(sub, required=True):
                      help="comma-separated factor degrees, e.g. 1,1,1,1")
 
 
-def _add_common_args(sub):
+def _add_common_args(sub, table=False):
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--json", metavar="PATH", default=None,
                      help="also write the JSON document to PATH")
-    sub.add_argument("--csv", "--out", dest="csv", metavar="PATH", default=None,
-                     help="write tabular output (matrix, histogram, terms) to PATH")
+    if table:
+        sub.add_argument("--csv", "--out", dest="csv", metavar="PATH", default=None,
+                         help="write tabular output (matrix, histogram, terms) to PATH")
 
 
 def build_parser() -> _Parser:
@@ -86,38 +86,36 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("weingarten", help="sample a random shape operator")
     _add_space_args(sub)
     sub.add_argument("--method", choices=("assemble", "direct"), default="assemble")
-    sub.add_argument("--profile", choices=PROFILE_CHOICES, default="weingarten",
+    sub.add_argument("--profile", choices=PROFILE_NAMES, default="weingarten",
                      help="variance profile for the direct sampler")
-    _add_common_args(sub)
+    _add_common_args(sub, table=True)
 
     sub = subs.add_parser("dd", help="signed weighted matching sum")
     _add_space_args(sub)
-    sub.add_argument("--profile", choices=PROFILE_CHOICES, default="def-d")
+    sub.add_argument("--profile", choices=PROFILE_NAMES, default="def-d")
     _add_common_args(sub)
 
     sub = subs.add_parser("minors", help="expected principal-minor sum")
     _add_space_args(sub)
     sub.add_argument("--i", type=int, default=1)
-    sub.add_argument("--profile", choices=PROFILE_CHOICES, default="def-d")
-    sub.add_argument("--minor-mode", choices=("corrected", "paper"),
-                     default="corrected")
+    sub.add_argument("--profile", choices=PROFILE_NAMES, default="def-d")
+    sub.add_argument("--minor-mode", choices=MINOR_MODES, default="corrected")
     _add_common_args(sub)
 
     sub = subs.add_parser("tube", help="tube volume around the manifold")
     _add_space_args(sub)
     sub.add_argument("--epsilon", type=float, required=True)
-    sub.add_argument("--exponent-convention", choices=("corrected", "paper"),
+    sub.add_argument("--exponent-convention", choices=EXPONENT_CONVENTIONS,
                      default="corrected")
-    sub.add_argument("--minor-mode", choices=("corrected", "paper"),
-                     default="corrected")
-    sub.add_argument("--profile", choices=PROFILE_CHOICES, default="def-d")
-    _add_common_args(sub)
+    sub.add_argument("--minor-mode", choices=MINOR_MODES, default="corrected")
+    sub.add_argument("--profile", choices=PROFILE_NAMES, default="def-d")
+    _add_common_args(sub, table=True)
 
     sub = subs.add_parser("mc-det", help="Monte Carlo expected determinant")
     _add_space_args(sub)
     sub.add_argument("--samples", type=int, default=100_000)
-    sub.add_argument("--profile", choices=PROFILE_CHOICES, default="def-d")
-    _add_common_args(sub)
+    sub.add_argument("--profile", choices=PROFILE_NAMES, default="def-d")
+    _add_common_args(sub, table=True)
 
     sub = subs.add_parser("mc-tube", help="Monte Carlo tube volume")
     _add_space_args(sub)
@@ -177,7 +175,8 @@ def _dispatch(args, seed: int) -> dict:
     if args.subcommand == "dd":
         profile = variance_profile(args.profile, args.degrees)
         problem = MatchingProblem(args.dims, args.degrees, profile)
-        return {"sizes": list(args.dims), "degrees": list(args.degrees),
+        return {"config": _config_doc(args, seed),
+                "sizes": list(args.dims), "degrees": list(args.degrees),
                 "profile": args.profile,
                 "D": matching_determinant(problem),
                 "matching_count": matching_count(problem)}

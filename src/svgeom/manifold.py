@@ -326,18 +326,19 @@ def _poly_gradient(coeffs: Array, ell: Array, n: int, d: int) -> Array:
     return grad
 
 
-def _quadratic_form_matrix(coeffs: Array, n: int) -> Array:
-    """Symmetric matrix m with value(ell) = ell^T m ell for a quadratic."""
-    mat = np.zeros((n + 1, n + 1))
+def _quadratic_form_matrices(coeffs: Array, n: int) -> Array:
+    """Symmetric matrices m with value(ell) = ell^T m ell, one per row of
+    a (batch, coefficients) array of quadratics."""
+    mats = np.zeros((coeffs.shape[0], n + 1, n + 1))
     for rank, alpha in enumerate(multi_indices(n, 2)):
         support = [j for j, a in enumerate(alpha) if a]
         if len(support) == 1:
             j = support[0]
-            mat[j, j] = coeffs[rank]
+            mats[:, j, j] = coeffs[:, rank]
         else:
             j, k = support
-            mat[j, k] = mat[k, j] = coeffs[rank] / math.sqrt(2.0)
-    return mat
+            mats[:, j, k] = mats[:, k, j] = coeffs[:, rank] / math.sqrt(2.0)
+    return mats
 
 
 def _dominant_unit(coeffs: Array, n: int, d: int, start: Array,
@@ -347,7 +348,7 @@ def _dominant_unit(coeffs: Array, n: int, d: int, start: Array,
         nrm = np.linalg.norm(coeffs)
         return start if nrm == 0.0 else coeffs / nrm
     if d == 2:
-        mat = _quadratic_form_matrix(coeffs, n)
+        mat = _quadratic_form_matrices(coeffs[None, :], n)[0]
         vals, vecs = np.linalg.eigh(mat)
         return vecs[:, int(np.argmax(np.abs(vals)))]
     ell = start.copy()
@@ -438,16 +439,7 @@ def max_correlation_batch(space: SpaceSpec, points: Array,
     if space.r == 1 and space.degrees[0] == 1:
         return np.linalg.norm(points, axis=1)
     if space.r == 1 and space.degrees[0] == 2:
-        n = space.dims[0]
-        mats = np.zeros((points.shape[0], n + 1, n + 1))
-        for rank, alpha in enumerate(multi_indices(n, 2)):
-            support = [j for j, a in enumerate(alpha) if a]
-            if len(support) == 1:
-                j = support[0]
-                mats[:, j, j] = points[:, rank]
-            else:
-                j, k = support
-                mats[:, j, k] = mats[:, k, j] = points[:, rank] / math.sqrt(2.0)
+        mats = _quadratic_form_matrices(points, space.dims[0])
         return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
     if space.r == 2 and space.degrees == (1, 1):
         mats = points.reshape(points.shape[0], *space.factor_dims)

@@ -26,6 +26,7 @@ from .weingarten import VarianceProfile, variance_profile
 
 MATCHING_VERTEX_CAP = 24
 BRUTE_FORCE_VERTEX_CAP = 10
+MINOR_MODES = ("corrected", "paper")
 
 
 @dataclass(frozen=True)
@@ -63,32 +64,30 @@ def _within_weights(p: MatchingProblem) -> tuple:
     return p.resolved_profile().within_offdiag
 
 
-def _recursive_matching_sum(sizes: tuple, within: tuple, cross: Fraction) -> Fraction:
+@lru_cache(maxsize=None)
+def _matching_sum(counts: tuple, within: tuple, cross: Fraction) -> Fraction:
     """Sum over perfect matchings of the product of edge weights.
 
     Pairs the lowest unmatched vertex first; the state is the tuple of
-    unmatched counts per group, memoized.
+    unmatched counts per group.  One memo, kept for the life of the
+    process, serves every signature, minor index and call with the same
+    weights.
     """
-
-    @lru_cache(maxsize=None)
-    def rec(counts: tuple) -> Fraction:
-        for g, c in enumerate(counts):
-            if c:
-                break
-        else:
-            return Fraction(1)
-        total = Fraction(0)
-        if c >= 2 and within[g]:
-            nxt = counts[:g] + (c - 2,) + counts[g + 1:]
-            total += (c - 1) * within[g] * rec(nxt)
-        for h in range(g + 1, len(counts)):
-            if counts[h] and cross:
-                nxt = (counts[:g] + (c - 1,) + counts[g + 1: h]
-                       + (counts[h] - 1,) + counts[h + 1:])
-                total += counts[h] * cross * rec(nxt)
-        return total
-
-    return rec(sizes)
+    for g, c in enumerate(counts):
+        if c:
+            break
+    else:
+        return Fraction(1)
+    total = Fraction(0)
+    if c >= 2 and within[g]:
+        nxt = counts[:g] + (c - 2,) + counts[g + 1:]
+        total += (c - 1) * within[g] * _matching_sum(nxt, within, cross)
+    for h in range(g + 1, len(counts)):
+        if counts[h] and cross:
+            nxt = (counts[:g] + (c - 1,) + counts[g + 1: h]
+                   + (counts[h] - 1,) + counts[h + 1:])
+            total += counts[h] * cross * _matching_sum(nxt, within, cross)
+    return total
 
 
 def weighted_matching_sum(p: MatchingProblem) -> Fraction:
@@ -97,8 +96,12 @@ def weighted_matching_sum(p: MatchingProblem) -> Fraction:
         raise ResourceError(f"matching sum capped at {MATCHING_VERTEX_CAP} vertices")
     if p.m % 2:
         return Fraction(0)
-    return _recursive_matching_sum(p.group_sizes, _within_weights(p),
-                                   p.resolved_profile().cross)
+    # Fractions on entry, so a float profile never shares memo entries
+    # with the equal-valued exact one.
+    profile = p.resolved_profile()
+    return _matching_sum(p.group_sizes,
+                         tuple(map(Fraction, profile.within_offdiag)),
+                         Fraction(profile.cross))
 
 
 def matching_count(p: MatchingProblem) -> int:
@@ -109,7 +112,7 @@ def matching_count(p: MatchingProblem) -> int:
         return 0
     ind_within = tuple(Fraction(1 if w else 0) for w in _within_weights(p))
     ind_cross = Fraction(1 if p.resolved_profile().cross else 0)
-    return int(_recursive_matching_sum(p.group_sizes, ind_within, ind_cross))
+    return int(_matching_sum(p.group_sizes, ind_within, ind_cross))
 
 
 def naive_matching_sum(p: MatchingProblem) -> Fraction:
@@ -223,8 +226,8 @@ def expected_minor_sum_exact(space: SpaceSpec, i: int,
     it, prod_k C(n_k, m_k); the literal mode reproduces the published sum
     without these multiplicities.
     """
-    if mode not in ("corrected", "paper"):
-        raise DomainError("mode must be 'corrected' or 'paper'")
+    if mode not in MINOR_MODES:
+        raise DomainError(f"mode must be one of {MINOR_MODES}")
     n = space.manifold_dim
     if not 0 <= 2 * i <= n:
         raise DomainError(f"minor index {i} out of range for dimension {n}")

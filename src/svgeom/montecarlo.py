@@ -2,16 +2,15 @@
 
 Sampling is organized in fixed-size batches whose random streams are derived
 by hashing (seed, batch index), so every estimate is a pure function of the
-inputs, the seed, and the sample count; scheduling and the advisory worker
-count never enter the arithmetic.  Batch sums are accumulated and reduced
-with numpy's pairwise summation.
+inputs, the seed, and the sample count.  Batch sums are accumulated and
+reduced with numpy's pairwise summation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +32,11 @@ MC_TUBE_AMBIENT_CAP = 12
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample count, seed, advisory worker count, optional output path."""
+    """Sample count, seed, optional output path (keyword only)."""
 
     samples: int
     seed: int = 42
-    workers: int = 1
-    output: Path | str | None = None
+    output: Path | str | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.samples < 1:
@@ -93,6 +91,15 @@ class McStats:
                            "samples": self.samples, "seed": self.seed})
 
 
+def _mean_and_error(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; the error is infinite for one
+    sample."""
+    n = values.shape[0]
+    std_error = float(np.std(values, ddof=1) / math.sqrt(n)) \
+        if n > 1 else float("inf")
+    return float(np.mean(values)), std_error
+
+
 def mc_expected_det(problem: MatchingProblem, cfg: McConfig) -> McStats:
     """Sample determinants of the block matrix and report their statistics.
 
@@ -105,9 +112,7 @@ def mc_expected_det(problem: MatchingProblem, cfg: McConfig) -> McStats:
         mats = sample_block_matrix_batch(problem.group_sizes, profile, rng, count)
         chunks.append(np.linalg.det(mats))
     values = np.concatenate(chunks)
-    mean = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(cfg.samples)) \
-        if cfg.samples > 1 else float("inf")
+    mean, std_error = _mean_and_error(values)
     hist = _make_histogram(values)
     if cfg.output is not None:
         hist.to_csv(cfg.output)
@@ -122,10 +127,7 @@ def mc_minor_sum(space: SpaceSpec, i: int, cfg: McConfig) -> McStats:
     for rng, count in _batch_streams(cfg):
         mats = gaussian_weingarten_batch(space, rng, count)
         chunks.append(principal_minor_sums_batch(mats, 2 * i))
-    values = np.concatenate(chunks)
-    mean = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(cfg.samples)) \
-        if cfg.samples > 1 else float("inf")
+    mean, std_error = _mean_and_error(np.concatenate(chunks))
     return McStats(mean, std_error, cfg.samples, cfg.seed)
 
 

@@ -44,6 +44,7 @@ from .matchings import (
 from .montecarlo import McConfig, mc_expected_det, mc_minor_sum, mc_tube_volume
 from .tube import manifold_volume, tube_volume
 from .weingarten import (
+    PROFILE_NAMES,
     assemble_weingarten,
     second_fundamental_form_fd,
     variance_profile,
@@ -185,7 +186,7 @@ def criterion_matching_determinant(full: bool = True) -> CriterionResult:
     mismatches = 0
     checked = 0
     for degrees, size_list in _isserlis_families(max_m):
-        for name in ("def-d", "weingarten", "corollary"):
+        for name in PROFILE_NAMES:
             profile = variance_profile(name, degrees)
             for sizes in size_list:
                 problem = MatchingProblem(sizes, degrees, profile)

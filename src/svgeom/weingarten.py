@@ -26,10 +26,8 @@ import numpy as np
 
 from .bw_algebra import Array, SpaceSpec, Tensor
 from .errors import DomainError
-from .geodesics_reach import GeodesicSpec, geodesic_eval
+from .geodesics_reach import GeodesicSpec, second_derivative_fd
 from .manifold import NormalSplit, normal_split, project_components
-
-PROFILE_NAMES = ("def-d", "weingarten", "corollary")
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,15 @@ class VarianceProfile:
             raise DomainError("variances must be nonnegative")
 
 
+# Profile name -> within-block off-diagonal variance for a factor of degree d.
+_WITHIN_VARIANCE = {
+    "def-d": lambda d: Fraction(d * (d - 1)),
+    "weingarten": lambda d: Fraction(d - 1, d),
+    "corollary": lambda d: Fraction(d * (d - 1), 4),
+}
+PROFILE_NAMES = tuple(_WITHIN_VARIANCE)
+
+
 def variance_profile(name: str, degrees) -> VarianceProfile:
     """Named profile for a degree tuple.
 
@@ -64,15 +71,9 @@ def variance_profile(name: str, degrees) -> VarianceProfile:
     All three keep the GOE shape (diagonal variance twice the off-diagonal)
     and cross-block variance one.
     """
-    degrees = tuple(int(d) for d in degrees)
-    if name == "def-d":
-        off = tuple(Fraction(d * (d - 1)) for d in degrees)
-    elif name == "weingarten":
-        off = tuple(Fraction(d - 1, d) for d in degrees)
-    elif name == "corollary":
-        off = tuple(Fraction(d * (d - 1), 4) for d in degrees)
-    else:
+    if name not in _WITHIN_VARIANCE:
         raise DomainError(f"unknown profile {name!r}; choose from {PROFILE_NAMES}")
+    off = tuple(_WITHIN_VARIANCE[name](int(d)) for d in degrees)
     return VarianceProfile(name, off, tuple(2 * v for v in off))
 
 
@@ -156,11 +157,6 @@ def veronese_weingarten(f: Tensor) -> WeingartenMatrix:
     """Single-factor shape operator; zero whenever the degree is one."""
     if f.space.r != 1:
         raise DomainError("veronese_weingarten expects a single-factor space")
-    if f.space.degrees[0] == 1:
-        comp = project_components(f, normal_split(f.space))
-        _check_normal(comp, f.norm, "the normal direction")
-        n = f.space.manifold_dim
-        return WeingartenMatrix(f.space, np.zeros((n, n)))
     return assemble_weingarten(f)
 
 
@@ -317,8 +313,4 @@ def second_fundamental_form_fd(space: SpaceSpec, v, normal: Tensor,
             target[1] = 1.0
         targets.append(target)
     spec = GeodesicSpec(space, tuple(speeds), targets=tuple(targets))
-    plus = geodesic_eval(spec, h).coeffs
-    zero = geodesic_eval(spec, 0.0).coeffs
-    minus = geodesic_eval(spec, -h).coeffs
-    acc = (plus - 2.0 * zero + minus) / (h * h)
-    return float(np.dot(acc, normal.coeffs))
+    return float(np.dot(second_derivative_fd(spec, h), normal.coeffs))

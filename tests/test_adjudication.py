@@ -26,9 +26,11 @@ from svgeom import (
     variance_profile,
 )
 from svgeom.manifold import SegrePoint, orthonormal_complement
-from svgeom.weingarten import gaussian_weingarten_batch, sample_block_matrix_batch
-
-PROFILES = ("def-d", "weingarten", "corollary")
+from svgeom.weingarten import (
+    PROFILE_NAMES,
+    gaussian_weingarten_batch,
+    sample_block_matrix_batch,
+)
 
 
 def test_only_one_profile_is_self_consistent_at_degree_three():
@@ -36,7 +38,7 @@ def test_only_one_profile_is_self_consistent_at_degree_three():
     rng = np.random.default_rng(51)
     assembled = np.linalg.det(gaussian_weingarten_batch(space, rng, 20_000))
     pvalues = {}
-    for name in PROFILES:
+    for name in PROFILE_NAMES:
         profile = variance_profile(name, space.degrees)
         direct = np.linalg.det(
             sample_block_matrix_batch(space.dims, profile, rng, 20_000))
@@ -50,7 +52,8 @@ def test_minor_level_adjudication_at_degree_three():
     space = SpaceSpec((2,), (3,))
     stats_mc = mc_minor_sum(space, 1, McConfig(100_000, seed=52))
     predictions = {name: expected_minor_sum(
-        space, 1, variance_profile(name, space.degrees)) for name in PROFILES}
+        space, 1, variance_profile(name, space.degrees))
+        for name in PROFILE_NAMES}
     assert predictions["weingarten"] == pytest.approx(-2 / 3, abs=1e-14)
     assert predictions["def-d"] == -6.0
     assert predictions["corollary"] == -1.5
@@ -67,7 +70,7 @@ def test_tube_level_adjudication_quadratic_surface():
     est = mc_tube_volume(space, 0.4, McConfig(300_000, seed=53))
     by_profile = {name: tube_volume(
         space, 0.4, profile=variance_profile(name, space.degrees)).volume
-        for name in PROFILES}
+        for name in PROFILE_NAMES}
     assert by_profile["weingarten"] == by_profile["corollary"]
     assert abs(est.volume - by_profile["weingarten"]) <= 3 * est.std_error
     assert abs(est.volume - by_profile["def-d"]) > 10 * est.std_error

@@ -35,6 +35,27 @@ def test_dd_subcommand(capsys):
     assert doc["D"] == -10.0
     assert doc["matching_count"] == 10
     assert doc["profile"] == "def-d"
+    assert doc["config"]["dims"] == [2, 2, 1, 1]
+    assert doc["config"]["degrees"] == [1, 1, 1, 1]
+    assert doc["config"]["profile"] == "def-d"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reach", "--dims", "1", "--degrees", "2"],
+    ["curvature", "--dims", "1", "--degrees", "2"],
+    ["dd", "--dims", "1,1", "--degrees", "1,1"],
+    ["minors", "--dims", "2,2", "--degrees", "1,1"],
+    ["mc-tube", "--dims", "1", "--degrees", "2", "--epsilon", "0.3",
+     "--samples", "10"],
+    ["selftest"],
+], ids=lambda argv: argv[0])
+def test_csv_rejected_without_table(capsys, tmp_path, argv):
+    path = tmp_path / "out.csv"
+    code, doc, err = run_cli(capsys, *argv, "--csv", str(path))
+    assert code == 1
+    assert doc is None
+    assert "--csv" in err
+    assert not path.exists()
 
 
 def test_curvature_subcommand(capsys):

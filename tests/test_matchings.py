@@ -21,8 +21,7 @@ from svgeom import (
     variance_profile,
     weighted_matching_sum,
 )
-
-PROFILES = ("def-d", "weingarten", "corollary")
+from svgeom.weingarten import PROFILE_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +53,18 @@ def test_unit_weights_give_double_factorial():
         p = MatchingProblem((m,), (2,), profile)
         expected = math.prod(range(1, m, 2))
         assert weighted_matching_sum(p) == expected
+
+
+def test_float_weights_do_not_leak_into_exact_sums():
+    # The matching memo is shared across calls; a float profile must not
+    # hand its float result to the equal-valued exact profile.
+    sizes, degrees = (3, 3), (2, 2)
+    floats = VarianceProfile("float", (0.5, 0.5), (1.0, 1.0), 1.0)
+    exact = VarianceProfile("exact", (Fraction(1, 2),) * 2, (Fraction(1),) * 2)
+    weighted_matching_sum(MatchingProblem(sizes, degrees, floats))
+    total = weighted_matching_sum(MatchingProblem(sizes, degrees, exact))
+    assert type(total) is Fraction
+    assert total == naive_matching_sum(MatchingProblem(sizes, degrees, exact))
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=4))
@@ -116,7 +127,7 @@ def test_isserlis_equals_matching_sum_all_profiles():
     cases = [((2,), (3,)), ((4,), (2,)), ((1, 3), (2, 3)), ((2, 2), (1, 2)),
              ((2, 2, 1, 1), (1, 1, 1, 1)), ((1, 1, 2), (3, 1, 2))]
     for sizes, degrees in cases:
-        for name in PROFILES:
+        for name in PROFILE_NAMES:
             profile = variance_profile(name, degrees)
             p = MatchingProblem(sizes, degrees, profile)
             assert expected_det_isserlis(p) == matching_determinant_exact(p)

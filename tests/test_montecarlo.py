@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from svgeom import (
@@ -17,18 +18,21 @@ from svgeom import (
     tube_volume,
     variance_profile,
 )
+from svgeom.weingarten import PROFILE_NAMES
 
 
 # ---------------------------------------------------------------------------
 # determinism and error scaling
 # ---------------------------------------------------------------------------
 
-def test_seed_determinism_across_worker_counts():
+def test_same_seed_determinism():
     p = MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1))
-    a = mc_expected_det(p, McConfig(20_000, seed=3, workers=1))
-    b = mc_expected_det(p, McConfig(20_000, seed=3, workers=8))
+    cfg = McConfig(20_000, seed=3)
+    a = mc_expected_det(p, cfg)
+    b = mc_expected_det(p, cfg)
     assert a.mean == b.mean
     assert a.std_error == b.std_error
+    assert np.array_equal(a.histogram.counts, b.histogram.counts)
 
 
 def test_different_seeds_differ():
@@ -53,6 +57,13 @@ def test_config_validation():
         McConfig(10, seed=-1)
 
 
+def test_config_output_is_keyword_only():
+    # A third positional argument must not land in the output path, where
+    # an integer would be opened as a file descriptor.
+    with pytest.raises(TypeError):
+        McConfig(100, 1, 4)
+
+
 # ---------------------------------------------------------------------------
 # expected determinants
 # ---------------------------------------------------------------------------
@@ -60,7 +71,7 @@ def test_config_validation():
 @pytest.mark.parametrize("sizes,degrees", [((2, 2, 1, 1), (1, 1, 1, 1)),
                                            ((1, 1), (1, 1)), ((2,), (3,))])
 def test_det_mean_matches_matching_sum(sizes, degrees):
-    for name in ("def-d", "weingarten", "corollary"):
+    for name in PROFILE_NAMES:
         profile = variance_profile(name, degrees)
         p = MatchingProblem(sizes, degrees, profile)
         stats = mc_expected_det(p, McConfig(40_000, seed=11))
