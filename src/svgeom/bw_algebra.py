@@ -255,10 +255,10 @@ def monomials_to_coeffs(mono: dict[tuple[int, ...], float], n: int, d: int) -> A
 
 
 def veronese_coeffs(ell, d: int) -> Array:
-    """Orthonormal-basis coordinates of the d-th power of a linear form."""
+    """Orthonormal-basis coordinates of d-th powers of the forms in ell[..., :]."""
     ell = np.asarray(ell, dtype=float)
-    n = ell.shape[0] - 1
-    powers = np.prod(ell[None, :] ** exponent_matrix(n, d), axis=1)
+    n = ell.shape[-1] - 1
+    powers = np.prod(ell[..., None, :] ** exponent_matrix(n, d), axis=-1)
     return sqrt_multinomials(n, d) * powers
 
 

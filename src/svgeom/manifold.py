@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache, cached_property
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .bw_algebra import (
     Array,
@@ -34,7 +35,7 @@ from .bw_algebra import (
     sqrt_multinomials,
     veronese_coeffs,
 )
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +307,6 @@ class RankOneResult:
     converged: bool
 
 
-def _poly_value(coeffs: Array, ell: Array, n: int, d: int) -> float:
-    powers = np.prod(ell[None, :] ** exponent_matrix(n, d), axis=1)
-    return float(np.dot(coeffs * sqrt_multinomials(n, d), powers))
-
-
-def _poly_gradient(coeffs: Array, ell: Array, n: int, d: int) -> Array:
-    mono = coeffs * sqrt_multinomials(n, d)
-    expo = exponent_matrix(n, d)
-    grad = np.zeros(n + 1)
-    for j in range(n + 1):
-        mask = expo[:, j] > 0
-        if not np.any(mask):
-            continue
-        shifted = expo[mask].copy()
-        shifted[:, j] -= 1
-        powers = np.prod(ell[None, :] ** shifted, axis=1)
-        grad[j] = np.dot(mono[mask] * expo[mask, j], powers)
-    return grad
-
-
 def _quadratic_form_matrices(coeffs: Array, n: int) -> Array:
     """Symmetric matrices m with value(ell) = ell^T m ell, one per row of
     a (batch, coefficients) array of quadratics."""
@@ -341,98 +322,123 @@ def _quadratic_form_matrices(coeffs: Array, n: int) -> Array:
     return mats
 
 
-def _dominant_unit(coeffs: Array, n: int, d: int, start: Array,
-                   tol: float, max_iter: int = 120) -> Array:
-    """Local maximizer of |p(ell)| over the unit sphere of the factor."""
+def _maximize_on_circle(c: Array, d: int, ell: Array, u: Array) -> Array:
+    """Global maximizer of |p(x)| = |<c, veronese(x, d)>| on each great
+    circle x = cos(theta) ell + sin(theta) u, for orthonormal ell and u.
+
+    Turned by the grid angle phi = k pi / (d + 1) with the largest
+    |p'(phi + pi/2)|, the critical points are the real roots of
+    p'(theta + phi) / cos(theta)^d, a degree-d polynomial in tan(theta)
+    with that leading coefficient; equispaced samples bound the root mean
+    square of p', so its companion matrix is well conditioned.  Every
+    root's real part is a candidate, as a nearly double root may split.
+    """
+    rows = np.arange(c.shape[0])
+    angles = math.pi * np.arange(2 * d + 1) / (d + 1)
+    cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    circle = cos * ell[:, None, :] + sin * u[:, None, :]
+    on_circle = np.einsum("mka,ma->mk", veronese_coeffs(circle, d), c)
+    frames = (on_circle[:, np.add.outer(np.arange(d + 1), np.arange(d + 1))]
+              @ np.linalg.inv(veronese_coeffs(np.hstack([cos, sin])[:d + 1], d)).T)
+    k = np.argmax(np.abs(frames[:, :, d - 1]), axis=1)
+    a = frames[rows, k] * sqrt_multinomials(1, d)
+    a_pad = np.pad(a, ((0, 0), (1, 1)))
+    q = np.arange(1, d + 2) * a_pad[:, 2:] - np.arange(d + 1, 0, -1) * a_pad[:, :-2]
+    comp = np.broadcast_to(np.eye(d, k=-1), (c.shape[0], d, d)).copy()
+    comp[:, :, -1] = -q[:, :-1] / np.where(q[:, -1:] == 0.0, 1.0, q[:, -1:])
+    t = np.linalg.eigvals(comp).real
+    values = polyval(t.T, a.T, tensor=False).T / (1.0 + t * t) ** (d / 2)
+    theta = angles[k] + np.arctan(t[rows, np.argmax(np.abs(values), axis=1)])
+    return np.cos(theta)[:, None] * ell + np.sin(theta)[:, None] * u
+
+
+def _maximize_factor(c: Array, n: int, d: int, ell: Array) -> Array:
+    """Unit forms raising |<c, veronese(ell, d)>|, one per row of c.
+
+    Degrees one and two get a global maximizer.  Higher degrees take the
+    SS-HOPM step (Kolda and Mayo, SIMAX 32, 2011) whose shift maximizes |p|
+    on the great circle through ell and its gradient, which holds every
+    shifted step, so |p| never decreases; for binary forms that circle is
+    the whole circle, and the step is a global maximizer.
+    """
     if d == 1:
-        nrm = np.linalg.norm(coeffs)
-        return start if nrm == 0.0 else coeffs / nrm
+        norm = np.linalg.norm(c, axis=1, keepdims=True)
+        return np.divide(c, norm, out=ell.copy(), where=norm > 0.0)
     if d == 2:
-        mat = _quadratic_form_matrices(coeffs[None, :], n)[0]
-        vals, vecs = np.linalg.eigh(mat)
-        return vecs[:, int(np.argmax(np.abs(vals)))]
-    ell = start.copy()
-    val = _poly_value(coeffs, ell, n, d) ** 2
-    step = 0.5
+        vals, vecs = np.linalg.eigh(_quadratic_form_matrices(c, n))
+        return vecs[np.arange(c.shape[0]), :, np.argmax(np.abs(vals), axis=1)]
+    expo = exponent_matrix(n, d)
+    lowered = np.maximum(expo[:, None, :] - np.eye(n + 1, dtype=expo.dtype), 0)
+    grad = np.einsum("ma,aj,maj->mj", c * sqrt_multinomials(n, d), expo,
+                     np.prod(ell[:, None, None, :] ** lowered, axis=-1))
+    frame = np.linalg.qr(np.stack([ell, grad], axis=-1))[0]  # columns +-ell, u
+    return _maximize_on_circle(c, d, ell, frame[:, :, 1])
+
+
+def _best_rank_one(space: SpaceSpec, points: Array, restarts: int,
+                   tol: float, max_iter: int) -> tuple[Array, list, Array]:
+    """Alternating maximization of |<t, x>| over rank-one x (HOPM: De
+    Lathauwer, De Moor and Vandewalle, SIMAX 21, 2000) for all rows t of
+    points and all restarts at once.  A pair stops, converged, once a sweep
+    raises it by at most tol times the row norm.  Returns the best
+    restart's correlation, forms (one array per factor) and flag per row.
+    """
+    rows, size = points.shape[0], points.shape[0] * restarts
+    letters = "abcdefghijklmnopqrstuvwxyz"[:space.r]
+    specs = [",".join(["Z" + letters] + ["Z" + o for o in letters if o != x])
+             + "->Z" + x for x in letters]
+    rngs = [np.random.default_rng([7690, s]) for s in range(restarts)]
+    starts = [[_unit(g.standard_normal(n + 1)) for n in space.dims] for g in rngs]
+    forms = [np.tile(f, (rows, 1)) for f in zip(*starts)]
+    owner = np.repeat(np.arange(rows), restarts)
+    t = points.reshape(rows, *space.factor_dims)[owner]
+    limit = tol * np.linalg.norm(points, axis=1)[owner]
+    corr, converged = np.full(size, -1.0), np.zeros(size, dtype=bool)
+    active = np.arange(size)
     for _ in range(max_iter):
-        g = 2.0 * _poly_value(coeffs, ell, n, d) * _poly_gradient(coeffs, ell, n, d)
-        g_t = g - np.dot(g, ell) * ell
-        gn = np.linalg.norm(g_t)
-        if gn <= tol:
+        if not active.size:
             break
-        improved = False
-        for _ in range(40):
-            cand = _unit(ell + step * g_t)
-            cval = _poly_value(coeffs, cand, n, d) ** 2
-            if cval > val:
-                ell, val = cand, cval
-                step *= 1.5
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return ell
-
-
-def _contract_except(t: Array, vecs: list[Array], i: int) -> Array:
-    letters = "abcdefgh"[: t.ndim]
-    subs = [letters] + [letters[j] for j in range(t.ndim) if j != i]
-    ops = [t] + [vecs[j] for j in range(t.ndim) if j != i]
-    return np.einsum(",".join(subs) + "->" + letters[i], *ops)
+        vecs = [veronese_coeffs(f[active], d) for f, d in zip(forms, space.degrees)]
+        for i, (n, d) in enumerate(zip(space.dims, space.degrees)):
+            c = np.einsum(specs[i], t[active],
+                          *(v for j, v in enumerate(vecs) if j != i))
+            forms[i][active] = _maximize_factor(c, n, d, forms[i][active])
+            vecs[i] = veronese_coeffs(forms[i][active], d)
+        value = np.abs(np.einsum("ma,ma->m", c, vecs[-1]))
+        done = value - corr[active] <= limit[active]
+        converged[active[done]] = True
+        corr[active] = value
+        active = active[~done]
+    best = np.argmax(corr.reshape(rows, restarts), axis=1) + restarts * np.arange(rows)
+    return corr[best], [f[best] for f in forms], converged[best]
 
 
 def rank_one_distance(f: Tensor, restarts: int = 20, tol: float = 1e-12,
                       max_iter: int = 500) -> RankOneResult:
     """Angular distance from a unit tensor to the rank-one manifold.
 
-    Runs a multi-start alternating maximization of the correlation with a
-    signed product of powers: each factor update contracts the tensor
-    against the other factors and moves the factor form to a dominant
-    direction of the resulting one-factor polynomial.
+    Runs the batched kernel of `max_correlation_batch` on one row;
+    `converged` is the flag of the best of its restarts.
     """
     space = f.space
     if abs(f.norm - 1.0) > 1e-9:
         raise DomainError("rank_one_distance requires a unit tensor")
-    t = f.coeffs.reshape(space.factor_dims)
-    best_corr, best_forms, best_conv = -1.0, None, False
-    for s in range(restarts):
-        rng = np.random.default_rng([7690, s])
-        forms = [_unit(rng.standard_normal(n + 1)) for n in space.dims]
-        prev, conv = -1.0, False
-        corr = 0.0
-        for _ in range(max_iter):
-            for i, (n, d) in enumerate(zip(space.dims, space.degrees)):
-                vecs = [veronese_coeffs(fm, dd)
-                        for fm, dd in zip(forms, space.degrees)]
-                contracted = _contract_except(t, vecs, i)
-                forms[i] = _dominant_unit(contracted, n, d, forms[i], tol)
-                corr = abs(_poly_value(contracted, forms[i], n, d))
-            if corr - prev <= tol:
-                conv = True
-                break
-            prev = corr
-        if corr > best_corr:
-            best_corr = corr
-            best_forms = [fm.copy() for fm in forms]
-            best_conv = conv
-    raw = Tensor(space, kron_all([veronese_coeffs(fm, d)
-                                  for fm, d in zip(best_forms, space.degrees)]))
-    sign = 1 if np.dot(raw.coeffs, f.coeffs) >= 0 else -1
-    point = SegrePoint(space, tuple(best_forms), sign).canonical()
-    distance = float(np.arccos(np.clip(best_corr, -1.0, 1.0)))
-    return RankOneResult(distance, point, best_corr, best_conv)
+    corr, forms, converged = _best_rank_one(space, f.coeffs[None, :],
+                                            restarts, tol, max_iter)
+    point = SegrePoint(space, tuple(fm[0] for fm in forms))
+    sign = 1 if np.dot(embed(point).coeffs, f.coeffs) >= 0 else -1
+    point = SegrePoint(space, point.forms, sign).canonical()
+    corr = float(corr[0])
+    return RankOneResult(math.acos(min(corr, 1.0)), point, corr, bool(converged[0]))
 
 
 def max_correlation_batch(space: SpaceSpec, points: Array,
                           restarts: int = 8, max_iter: int = 200) -> Array:
-    """Best rank-one correlation for each row of a (batch, ambient) array.
-
-    Quadratic single-factor spaces reduce to symmetric eigenvalues and
-    order-two multilinear spaces to singular values; both are evaluated with
-    batched linear algebra.  Other spaces fall back to the per-row
-    alternating optimizer, which is only practical for small batches.
-    """
+    """Best rank-one correlation max |<row, x>| over unit rank-one x, per
+    row of a (batch, ambient) array.  Rows are not normalized, so the result
+    is degree-1 homogeneous on every path: norms and symmetric eigenvalues
+    for one factor of degree one or two, singular values for order-two
+    multilinear spaces, else the batched alternating maximization."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != space.ambient_dim:
         raise DomainError("batch shape does not match the space")
@@ -444,12 +450,4 @@ def max_correlation_batch(space: SpaceSpec, points: Array,
     if space.r == 2 and space.degrees == (1, 1):
         mats = points.reshape(points.shape[0], *space.factor_dims)
         return np.linalg.svd(mats, compute_uv=False)[:, 0]
-    if points.shape[0] > 20000:
-        raise ResourceError(
-            "no vectorized path for this space; reduce the batch size")
-    out = np.empty(points.shape[0])
-    for row in range(points.shape[0]):
-        res = rank_one_distance(Tensor(space, _unit(points[row])),
-                                restarts=restarts, max_iter=max_iter)
-        out[row] = res.correlation
-    return out
+    return _best_rank_one(space, points, restarts, 1e-12, max_iter)[0]

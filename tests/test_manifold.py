@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from svgeom import (
     base_point,
     bw_inner,
     embed,
+    evaluate,
     gaussian_tensor,
     max_correlation_batch,
     normal_split,
@@ -26,6 +28,7 @@ from svgeom import (
     tangent_frame,
     veronese_embed,
 )
+from svgeom.bw_algebra import veronese_coeffs
 
 SMALL_SPACES = [((1,), (2,)), ((2,), (3,)), ((1, 1), (1, 1)), ((1, 1), (2, 1)),
                 ((2, 1), (1, 2))]
@@ -323,15 +326,105 @@ def test_batch_matches_generic_optimizer(dims, degrees):
         assert res.correlation == pytest.approx(float(expected), abs=1e-8)
 
 
-def test_batch_generic_fallback():
-    space = SpaceSpec((1, 1), (2, 1))
-    rng = np.random.default_rng(15)
+# One space per path of max_correlation_batch: the norm, eigvalsh and SVD
+# fast paths, then the kernel's degree-one, degree-two, binary and
+# higher-degree factor updates.
+PATH_SPACES = [((2,), (1,)), ((1,), (2,)), ((1, 1), (1, 1)), ((1, 1), (2, 1)),
+               ((1,), (3,)), ((2,), (3,))]
+
+
+@pytest.mark.parametrize("dims,degrees", PATH_SPACES)
+def test_batch_zero_row_gives_zero(dims, degrees):
+    space = SpaceSpec(dims, degrees)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = max_correlation_batch(space, np.zeros((1, space.ambient_dim)))
+    assert out.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("dims,degrees", PATH_SPACES)
+def test_batch_is_degree_one_homogeneous(dims, degrees):
+    space = SpaceSpec(dims, degrees)
+    points = np.random.default_rng(16).standard_normal((6, space.ambient_dim))
+    base = max_correlation_batch(space, points)
+    scaled = max_correlation_batch(space, 3.0 * points)
+    assert np.max(np.abs(scaled - 3.0 * base)) <= 1e-12
+    # the stopping rule is relative to the row norm, so small rows converge
+    # as far as unit ones
+    small = max_correlation_batch(space, 1e-6 * points)
+    assert np.max(np.abs(1e6 * small - base)) <= 1e-12
+
+
+def _circle_max(coeffs, d):
+    """max |p| on the unit circle for a binary d-form: a dense scan, with
+    every local maximum refined by Newton steps on p'.  p is a trigonometric
+    polynomial of degree d, so its Fourier series from 4d samples gives p'
+    and p'' exactly."""
+    f = Tensor(SpaceSpec((1,), (d,)), coeffs)
+    grid = 2.0 * math.pi * np.arange(4 * d) / (4 * d)
+    samples = [evaluate(f, (math.cos(x), math.sin(x))) for x in grid]
+    fourier = np.fft.rfft(samples) / (4 * d)
+    fourier[1:] *= 2.0
+    freqs = np.arange(fourier.size)
+
+    def deriv(theta, k):
+        return np.real(np.exp(1j * np.outer(theta, freqs))
+                       @ (fourier * (1j * freqs) ** k))
+
+    theta = np.linspace(0.0, 2.0 * math.pi, 40001)[:-1]
+    mag = np.abs(deriv(theta, 0))
+    theta = theta[(mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1))]
+    for _ in range(6):
+        theta = theta - deriv(theta, 1) / deriv(theta, 2)
+    return float(np.max(np.abs(deriv(theta, 0))))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_binary_forms_match_circle_scan(d):
+    space = SpaceSpec((1,), (d,))
+    points = np.random.default_rng(17 + d).standard_normal((5, d + 1))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    batch = max_correlation_batch(space, points)
+    for row, got in zip(points, batch):
+        expected = _circle_max(row, d)
+        assert abs(got - expected) <= 1e-12
+        res = rank_one_distance(Tensor(space, row))
+        assert abs(res.correlation - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("dims,degrees", [((1, 1), (2, 1)), ((1, 1, 1), (1, 1, 1)),
+                                          ((2, 1), (1, 2)), ((2,), (3,)),
+                                          ((1, 1), (2, 3))])
+def test_kernel_beats_random_rank_one_search(dims, degrees):
+    space = SpaceSpec(dims, degrees)
+    rng = np.random.default_rng(18)
+    cloud = np.ones((20000, 1))
+    for n, d in zip(dims, degrees):
+        forms = rng.standard_normal((20000, n + 1))
+        forms /= np.linalg.norm(forms, axis=1, keepdims=True)
+        cloud = np.einsum("ma,mb->mab", cloud, veronese_coeffs(forms, d))
+        cloud = cloud.reshape(20000, -1)
     points = rng.standard_normal((4, space.ambient_dim))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
-    fast = max_correlation_batch(space, points)
-    for row, got in zip(points, fast):
-        res = rank_one_distance(Tensor(space, row))
-        assert res.correlation == pytest.approx(float(got), abs=1e-7)
+    search = np.max(np.abs(points @ cloud.T), axis=1)
+    batch = max_correlation_batch(space, points)
+    assert np.all(batch >= search - 1e-12)
+    for row, floor in zip(points, search):
+        f = Tensor(space, row)
+        res = rank_one_distance(f)
+        assert res.correlation >= floor - 1e-12
+        assert abs(bw_inner(embed(res.point), f) - res.correlation) <= 1e-12
+
+
+def test_batch_has_no_row_cap():
+    space = SpaceSpec((1,), (3,))
+    points = np.random.default_rng(19).standard_normal((25000, 4))
+    out = max_correlation_batch(space, points, restarts=1)
+    assert out.shape == (25000,)
+    assert np.all((out > 0.0) & (out <= np.linalg.norm(points, axis=1)))
+    # binary forms are maximized exactly, so one restart matches eight
+    assert np.allclose(out[:50], max_correlation_batch(space, points[:50]),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_rank_one_distance_flags_non_convergence():
