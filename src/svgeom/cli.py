@@ -3,8 +3,9 @@
 Each invocation prints a single JSON document on stdout (logs go to stderr)
 and exits 0 on success, 1 on usage errors, 2 on domain errors, and 3 when a
 resource guard trips.  The JSON always echoes the resolved configuration so
-runs are reproducible.  The default seed is 42, overridable by the
-SVGEOM_SEED environment variable and the --seed flag.
+runs are reproducible.  Only the sampling subcommands (weingarten, mc-det,
+mc-tube) take a seed: 42 by default, overridable by the SVGEOM_SEED
+environment variable and the --seed flag.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ def _add_space_args(sub, required=True):
                      help="comma-separated factor degrees, e.g. 1,1,1,1")
 
 
-def _add_common_args(sub, table=False):
-    sub.add_argument("--seed", type=int, default=None)
+def _add_common_args(sub, table=False, seed=False):
+    if seed:
+        sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--json", metavar="PATH", default=None,
                      help="also write the JSON document to PATH")
     if table:
@@ -88,7 +90,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--method", choices=("assemble", "direct"), default="assemble")
     sub.add_argument("--profile", choices=PROFILE_NAMES, default="weingarten",
                      help="variance profile for the direct sampler")
-    _add_common_args(sub, table=True)
+    _add_common_args(sub, table=True, seed=True)
 
     sub = subs.add_parser("dd", help="signed weighted matching sum")
     _add_space_args(sub)
@@ -115,13 +117,13 @@ def build_parser() -> _Parser:
     _add_space_args(sub)
     sub.add_argument("--samples", type=int, default=100_000)
     sub.add_argument("--profile", choices=PROFILE_NAMES, default="def-d")
-    _add_common_args(sub, table=True)
+    _add_common_args(sub, table=True, seed=True)
 
     sub = subs.add_parser("mc-tube", help="Monte Carlo tube volume")
     _add_space_args(sub)
     sub.add_argument("--epsilon", type=float, required=True)
     sub.add_argument("--samples", type=int, default=1_000_000)
-    _add_common_args(sub)
+    _add_common_args(sub, seed=True)
 
     sub = subs.add_parser("selftest", help="run the acceptance suite")
     sub.add_argument("--full", action="store_true",
@@ -141,7 +143,7 @@ def _config_doc(args, seed=None) -> dict:
     if getattr(args, "degrees", None) is not None:
         doc["degrees"] = list(args.degrees)
     for key in ("profile", "minor_mode", "exponent_convention", "epsilon",
-                "samples", "method", "i"):
+                "samples", "method", "i", "full"):
         if getattr(args, key, None) is not None:
             doc[key] = getattr(args, key)
     if seed is not None:
@@ -149,16 +151,16 @@ def _config_doc(args, seed=None) -> dict:
     return doc
 
 
-def _dispatch(args, seed: int) -> dict:
+def _dispatch(args, seed: int | None) -> dict:
     if args.subcommand == "reach":
         report = reach(_space(args))
-        return {"config": _config_doc(args, seed), "rho1": report.rho1,
+        return {"config": _config_doc(args), "rho1": report.rho1,
                 "rho2": report.rho2, "reach": report.reach,
                 "regime": report.regime}
 
     if args.subcommand == "curvature":
         ext = extremal_curvature(_space(args))
-        return {"config": _config_doc(args, seed),
+        return {"config": _config_doc(args),
                 "max": ext.max_value, "argmax_theta": list(ext.argmax),
                 "min": ext.min_value, "argmin_theta": list(ext.argmin),
                 "numeric_max": ext.numeric_max, "numeric_min": ext.numeric_min}
@@ -175,7 +177,7 @@ def _dispatch(args, seed: int) -> dict:
     if args.subcommand == "dd":
         profile = variance_profile(args.profile, args.degrees)
         problem = MatchingProblem(args.dims, args.degrees, profile)
-        return {"config": _config_doc(args, seed),
+        return {"config": _config_doc(args),
                 "sizes": list(args.dims), "degrees": list(args.degrees),
                 "profile": args.profile,
                 "D": matching_determinant(problem),
@@ -185,7 +187,7 @@ def _dispatch(args, seed: int) -> dict:
         space = _space(args)
         profile = variance_profile(args.profile, space.degrees)
         value = expected_minor_sum(space, args.i, profile, args.minor_mode)
-        return {"config": _config_doc(args, seed), "i": args.i, "value": value}
+        return {"config": _config_doc(args), "i": args.i, "value": value}
 
     if args.subcommand == "tube":
         space = _space(args)
@@ -194,7 +196,7 @@ def _dispatch(args, seed: int) -> dict:
                              args.minor_mode, profile)
         if args.csv:
             report.terms_csv(args.csv)
-        return json.loads(report.to_json()) | {"config": _config_doc(args, seed)}
+        return json.loads(report.to_json()) | {"config": _config_doc(args)}
 
     if args.subcommand == "mc-det":
         profile = variance_profile(args.profile, args.degrees)
@@ -218,7 +220,8 @@ def _dispatch(args, seed: int) -> dict:
         results = run_all(full=args.full)
         for res in results:
             print(res.line(), file=sys.stderr)
-        return {"mode": "full" if args.full else "quick",
+        return {"config": _config_doc(args),
+                "mode": "full" if args.full else "quick",
                 "all_passed": all(r.passed for r in results),
                 "criteria": [{"name": r.name, "passed": r.passed,
                               "seconds": round(r.seconds, 3),
@@ -233,7 +236,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
+    seed = None
+    if "seed" in args:
+        seed = args.seed if args.seed is not None else _default_seed()
     try:
         doc = _dispatch(args, seed)
     except DomainError as exc:

@@ -436,18 +436,30 @@ def max_correlation_batch(space: SpaceSpec, points: Array,
                           restarts: int = 8, max_iter: int = 200) -> Array:
     """Best rank-one correlation max |<row, x>| over unit rank-one x, per
     row of a (batch, ambient) array.  Rows are not normalized, so the result
-    is degree-1 homogeneous on every path: norms and symmetric eigenvalues
-    for one factor of degree one or two, singular values for order-two
-    multilinear spaces, else the batched alternating maximization."""
+    is degree-1 homogeneous on every path.  One factor of degree one is the
+    row norm.  One factor of degree two is the largest |eigenvalue| of the
+    quadratic form: for binary quadratics c0 x^2 + sqrt(2) c1 x y + c2 y^2
+    the closed form |c0 + c2|/2 + hypot((c0 - c2)/2, c1/sqrt(2)), else
+    `eigvalsh`.  Two degree-one factors give the top singular value of the
+    row as a matrix, the square root of the largest eigenvalue of its Gram
+    matrix on the smaller side.  Every other space runs the batched
+    alternating maximization."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != space.ambient_dim:
         raise DomainError("batch shape does not match the space")
     if space.r == 1 and space.degrees[0] == 1:
         return np.linalg.norm(points, axis=1)
     if space.r == 1 and space.degrees[0] == 2:
+        if space.dims[0] == 1:
+            c0, c1, c2 = points.T
+            return np.abs(c0 + c2) / 2.0 + np.hypot((c0 - c2) / 2.0,
+                                                    c1 / math.sqrt(2.0))
         mats = _quadratic_form_matrices(points, space.dims[0])
         return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
     if space.r == 2 and space.degrees == (1, 1):
         mats = points.reshape(points.shape[0], *space.factor_dims)
-        return np.linalg.svd(mats, compute_uv=False)[:, 0]
+        if mats.shape[1] > mats.shape[2]:
+            mats = np.swapaxes(mats, 1, 2)
+        gram = mats @ np.swapaxes(mats, 1, 2)
+        return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
     return _best_rank_one(space, points, restarts, 1e-12, max_iter)[0]

@@ -58,6 +58,24 @@ def test_csv_rejected_without_table(capsys, tmp_path, argv):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["reach", "--dims", "1", "--degrees", "2"],
+    ["curvature", "--dims", "1", "--degrees", "2"],
+    ["dd", "--dims", "1,1", "--degrees", "1,1"],
+    ["minors", "--dims", "2,2", "--degrees", "1,1"],
+    ["tube", "--dims", "1", "--degrees", "2", "--epsilon", "0.3"],
+    ["selftest"],
+], ids=lambda argv: argv[0])
+def test_seed_rejected_without_sampling(capsys, argv):
+    code, doc, err = run_cli(capsys, *argv, "--seed", "5")
+    assert code == 1
+    assert doc is None
+    assert "--seed" in err
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "seed" not in doc["config"]
+
+
 def test_curvature_subcommand(capsys):
     code, doc, _ = run_cli(capsys, "curvature", "--dims", "1,1",
                            "--degrees", "2,3")
@@ -161,5 +179,6 @@ def test_selftest_quick(capsys):
     assert code == 0
     assert doc["all_passed"] is True
     assert doc["mode"] == "quick"
+    assert doc["config"] == {"full": False}
     assert len(doc["criteria"]) == 9
     assert err.count("[PASS]") == 9

@@ -29,6 +29,7 @@ from svgeom import (
     veronese_embed,
 )
 from svgeom.bw_algebra import veronese_coeffs
+from svgeom.manifold import _quadratic_form_matrices
 
 SMALL_SPACES = [((1,), (2,)), ((2,), (3,)), ((1, 1), (1, 1)), ((1, 1), (2, 1)),
                 ((2, 1), (1, 2))]
@@ -326,11 +327,12 @@ def test_batch_matches_generic_optimizer(dims, degrees):
         assert res.correlation == pytest.approx(float(expected), abs=1e-8)
 
 
-# One space per path of max_correlation_batch: the norm, eigvalsh and SVD
-# fast paths, then the kernel's degree-one, degree-two, binary and
-# higher-degree factor updates.
+# One space per path of max_correlation_batch: the norm, binary-quadratic
+# and square-Gram fast paths, the kernel's degree-one, degree-two, binary
+# and higher-degree factor updates, then the eigvalsh and rectangular-Gram
+# fast paths.
 PATH_SPACES = [((2,), (1,)), ((1,), (2,)), ((1, 1), (1, 1)), ((1, 1), (2, 1)),
-               ((1,), (3,)), ((2,), (3,))]
+               ((1,), (3,)), ((2,), (3,)), ((2,), (2,)), ((2, 1), (1, 1))]
 
 
 @pytest.mark.parametrize("dims,degrees", PATH_SPACES)
@@ -353,6 +355,31 @@ def test_batch_is_degree_one_homogeneous(dims, degrees):
     # as far as unit ones
     small = max_correlation_batch(space, 1e-6 * points)
     assert np.max(np.abs(1e6 * small - base)) <= 1e-12
+
+
+def test_binary_quadratic_closed_form_matches_eigvalsh():
+    rows = np.random.default_rng(17).standard_normal((100_000, 3))
+    rows[:1000, 1] = 0.0                      # c0 = c2, c1 = 0: a double
+    rows[:1000, 2] = rows[:1000, 0]           # eigenvalue
+    rows[1000:2000, 2] = -rows[1000:2000, 0]  # c0 = -c2: opposite eigenvalues
+    got = max_correlation_batch(SpaceSpec((1,), (2,)), rows)
+    mats = _quadratic_form_matrices(rows, 1)
+    want = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.linalg.norm(rows, axis=1))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 1), (1, 2), (3, 1)])
+def test_gram_top_singular_value_matches_svd(dims):
+    space = SpaceSpec(dims, (1, 1))
+    rng = np.random.default_rng(18)
+    rows = rng.standard_normal((100_000, space.ambient_dim))
+    a, b = space.factor_dims
+    # rank-one rows: the Gram matrix is singular
+    rows[:1000] = (rng.standard_normal((1000, a, 1))
+                   * rng.standard_normal((1000, 1, b))).reshape(1000, -1)
+    got = max_correlation_batch(space, rows)
+    want = np.linalg.svd(rows.reshape(-1, a, b), compute_uv=False)[:, 0]
+    assert np.all(np.abs(got - want) <= 1e-14 * np.linalg.norm(rows, axis=1))
 
 
 def _circle_max(coeffs, d):
