@@ -28,7 +28,8 @@ from .matchings import (
 from .montecarlo import McConfig, mc_expected_det, mc_tube_volume
 from .selftest import run_all
 from .tube import EXPONENT_CONVENTIONS, tube_volume
-from .weingarten import PROFILE_NAMES, sample_gaussian_weingarten, variance_profile
+from .weingarten import (DEFAULT_PROFILE, PROFILE_NAMES,
+                         sample_gaussian_weingarten, variance_profile)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,13 +95,13 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("dd", help="signed weighted matching sum")
     _add_space_args(sub)
-    sub.add_argument("--profile", choices=PROFILE_NAMES, default="def-d")
+    sub.add_argument("--profile", choices=PROFILE_NAMES, default=DEFAULT_PROFILE)
     _add_common_args(sub)
 
     sub = subs.add_parser("minors", help="expected principal-minor sum")
     _add_space_args(sub)
     sub.add_argument("--i", type=int, default=1)
-    sub.add_argument("--profile", choices=PROFILE_NAMES, default="def-d")
+    sub.add_argument("--profile", choices=PROFILE_NAMES, default=DEFAULT_PROFILE)
     sub.add_argument("--minor-mode", choices=MINOR_MODES, default="corrected")
     _add_common_args(sub)
 
@@ -110,13 +111,13 @@ def build_parser() -> _Parser:
     sub.add_argument("--exponent-convention", choices=EXPONENT_CONVENTIONS,
                      default="corrected")
     sub.add_argument("--minor-mode", choices=MINOR_MODES, default="corrected")
-    sub.add_argument("--profile", choices=PROFILE_NAMES, default="def-d")
+    sub.add_argument("--profile", choices=PROFILE_NAMES, default=DEFAULT_PROFILE)
     _add_common_args(sub, table=True)
 
     sub = subs.add_parser("mc-det", help="Monte Carlo expected determinant")
     _add_space_args(sub)
     sub.add_argument("--samples", type=int, default=100_000)
-    sub.add_argument("--profile", choices=PROFILE_NAMES, default="def-d")
+    sub.add_argument("--profile", choices=PROFILE_NAMES, default=DEFAULT_PROFILE)
     _add_common_args(sub, table=True, seed=True)
 
     sub = subs.add_parser("mc-tube", help="Monte Carlo tube volume")
@@ -201,8 +202,8 @@ def _dispatch(args, seed: int | None) -> dict:
     if args.subcommand == "mc-det":
         profile = variance_profile(args.profile, args.degrees)
         problem = MatchingProblem(args.dims, args.degrees, profile)
-        cfg = McConfig(args.samples, seed, output=args.csv)
-        stats = mc_expected_det(problem, cfg)
+        stats = mc_expected_det(problem, McConfig(args.samples, seed),
+                                output=args.csv)
         return {"config": _config_doc(args, seed), "mean": stats.mean,
                 "std_error": stats.std_error, "samples": stats.samples,
                 "seed": stats.seed,

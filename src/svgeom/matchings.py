@@ -14,15 +14,14 @@ All weights are exact rationals; floats appear only at the API boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from .bw_algebra import SpaceSpec
 from .errors import DomainError, ResourceError
-from .weingarten import VarianceProfile, variance_profile
+from .weingarten import DEFAULT_PROFILE, VarianceProfile, variance_profile
 
 MATCHING_VERTEX_CAP = 24
 BRUTE_FORCE_VERTEX_CAP = 10
@@ -57,62 +56,79 @@ class MatchingProblem:
         return sum(self.group_sizes)
 
     def resolved_profile(self) -> VarianceProfile:
-        return self.profile or variance_profile("def-d", self.degrees)
+        return self.profile or variance_profile(DEFAULT_PROFILE, self.degrees)
 
 
-def _within_weights(p: MatchingProblem) -> tuple:
-    return p.resolved_profile().within_offdiag
+def _canonical(groups) -> tuple:
+    """Memo key of a vertex multiset: its nonempty (count, within weight)
+    groups, sorted.  A group below two vertices has no within edge, so its
+    weight is irrelevant and set to 0; groups that agree are interchangeable.
+    """
+    return tuple(sorted((c, w if c > 1 else 0) for c, w in groups if c))
 
 
 @lru_cache(maxsize=None)
-def _matching_sum(counts: tuple, within: tuple, cross: Fraction) -> Fraction:
-    """Sum over perfect matchings of the product of edge weights.
+def _matching_polynomial(groups: tuple, cross: Fraction) -> tuple:
+    """Coefficients P[j]: the weighted sum of all j-edge matchings.
 
-    Pairs the lowest unmatched vertex first; the state is the tuple of
-    unmatched counts per group.  One memo, kept for the life of the
-    process, serves every signature, minor index and call with the same
-    weights.
+    A j-edge matching is a perfect matching of exactly one 2j-vertex
+    subset, so P[j] is also the sum over those subsets of their weighted
+    perfect-matching sums, and P[m/2] of an m-vertex graph is its own.
+    Takes one vertex of the first group and either drops it (leaves it
+    unmatched) or pairs it within its group or across groups.  One memo,
+    kept for the life of the process and keyed by the canonical groups,
+    serves every matching sum, matching count and minor order.
     """
-    for g, c in enumerate(counts):
-        if c:
-            break
-    else:
-        return Fraction(1)
-    total = Fraction(0)
-    if c >= 2 and within[g]:
-        nxt = counts[:g] + (c - 2,) + counts[g + 1:]
-        total += (c - 1) * within[g] * _matching_sum(nxt, within, cross)
-    for h in range(g + 1, len(counts)):
-        if counts[h] and cross:
-            nxt = (counts[:g] + (c - 1,) + counts[g + 1: h]
-                   + (counts[h] - 1,) + counts[h + 1:])
-            total += counts[h] * cross * _matching_sum(nxt, within, cross)
-    return total
+    if not groups:
+        return (Fraction(1),)
+    (c, w), rest = groups[0], groups[1:]
+    out = [Fraction(0)] * ((c + sum(n for n, _ in rest)) // 2 + 1)
+    branches = [(0, 1, ((c - 1, w),) + rest)]
+    if c > 1 and w:
+        branches.append((1, (c - 1) * w, ((c - 2, w),) + rest))
+    if cross:
+        for h, (n, v) in enumerate(rest):
+            branches.append((1, n * cross, ((c - 1, w),) + rest[:h]
+                             + ((n - 1, v),) + rest[h + 1:]))
+    for shift, scale, nxt in branches:
+        for j, coeff in enumerate(_matching_polynomial(_canonical(nxt), cross)):
+            out[j + shift] += scale * coeff
+    return tuple(out)
+
+
+def _perfect_matchings(p: MatchingProblem, within, cross) -> Fraction:
+    if p.m > MATCHING_VERTEX_CAP:
+        raise ResourceError(f"matching sums capped at {MATCHING_VERTEX_CAP} vertices")
+    if p.m % 2:
+        return Fraction(0)
+    return _matching_polynomial(_canonical(zip(p.group_sizes, within)), cross)[p.m // 2]
 
 
 def weighted_matching_sum(p: MatchingProblem) -> Fraction:
     """Exact weighted count of perfect matchings; zero when m is odd."""
-    if p.m > MATCHING_VERTEX_CAP:
-        raise ResourceError(f"matching sum capped at {MATCHING_VERTEX_CAP} vertices")
-    if p.m % 2:
-        return Fraction(0)
-    # Fractions on entry, so a float profile never shares memo entries
-    # with the equal-valued exact one.
     profile = p.resolved_profile()
-    return _matching_sum(p.group_sizes,
-                         tuple(map(Fraction, profile.within_offdiag)),
-                         Fraction(profile.cross))
+    return _perfect_matchings(p, profile.within_offdiag, profile.cross)
 
 
 def matching_count(p: MatchingProblem) -> int:
     """Number of perfect matchings whose weight is nonzero."""
-    if p.m > MATCHING_VERTEX_CAP:
-        raise ResourceError(f"matching count capped at {MATCHING_VERTEX_CAP} vertices")
-    if p.m % 2:
-        return 0
-    ind_within = tuple(Fraction(1 if w else 0) for w in _within_weights(p))
-    ind_cross = Fraction(1 if p.resolved_profile().cross else 0)
-    return int(_matching_sum(p.group_sizes, ind_within, ind_cross))
+    profile = p.resolved_profile()
+    return int(_perfect_matchings(
+        p, [Fraction(1 if w else 0) for w in profile.within_offdiag],
+        Fraction(1 if profile.cross else 0)))
+
+
+def _edge_weight(p: MatchingProblem):
+    """The weight (variance) of the edge between labelled vertices u, v."""
+    groups = [g for g, size in enumerate(p.group_sizes) for _ in range(size)]
+    profile = p.resolved_profile()
+
+    def weight(u: int, v: int) -> Fraction:
+        if groups[u] == groups[v]:
+            return profile.within_offdiag[groups[u]]
+        return profile.cross
+
+    return weight
 
 
 def naive_matching_sum(p: MatchingProblem) -> Fraction:
@@ -121,12 +137,7 @@ def naive_matching_sum(p: MatchingProblem) -> Fraction:
         raise ResourceError(f"naive enumeration capped at {BRUTE_FORCE_VERTEX_CAP}")
     if p.m % 2:
         return Fraction(0)
-    groups = [g for g, size in enumerate(p.group_sizes) for _ in range(size)]
-    within = _within_weights(p)
-    cross = p.resolved_profile().cross
-
-    def weight(u: int, v: int) -> Fraction:
-        return within[groups[u]] if groups[u] == groups[v] else cross
+    weight = _edge_weight(p)
 
     def rec(vertices: tuple) -> Fraction:
         if not vertices:
@@ -184,24 +195,13 @@ def expected_det_isserlis(p: MatchingProblem) -> Fraction:
         raise ResourceError(f"permutation brute force capped at {BRUTE_FORCE_VERTEX_CAP}")
     if m == 0:
         return Fraction(1)
-    groups = [g for g, size in enumerate(p.group_sizes) for _ in range(size)]
-    within = _within_weights(p)
-    cross = p.resolved_profile().cross
-
-    def variance(u: int, v: int) -> Fraction:
-        return within[groups[u]] if groups[u] == groups[v] else cross
-
+    variance = _edge_weight(p)
     total = Fraction(0)
     for perm in permutations(range(m)):
         # The entries are independent up to symmetry, so the product of
         # entries (i, perm(i)) has nonzero mean only if every entry occurs
         # an even number of times: perm must pair i with perm(i) != i.
-        ok = True
-        for i, j in enumerate(perm):
-            if j == i or perm[j] != i:
-                ok = False
-                break
-        if not ok:
+        if any(j == i or perm[j] != i for i, j in enumerate(perm)):
             continue
         term = Fraction(_perm_sign(perm))
         for i, j in enumerate(perm):
@@ -220,42 +220,33 @@ def expected_minor_sum_exact(space: SpaceSpec, i: int,
                              mode: str = "corrected") -> Fraction:
     """Expected sum of the 2i x 2i principal minors of the block operator.
 
-    Sums the expected block determinants over all block signatures
-    (m_1, ..., m_r) with m_k <= n_k and total 2i.  The corrected mode
-    multiplies each signature by the number of principal subsets realizing
-    it, prod_k C(n_k, m_k); the literal mode reproduces the published sum
-    without these multiplicities.
+    The expected 2i x 2i principal minor on a vertex subset is its signed
+    matching sum (-1)^i D, so the corrected mode is (-1)^i P(dims)[i], which
+    counts each block signature (m_1, ..., m_r) once per principal subset
+    realizing it.  The literal mode reproduces the published sum, one
+    D(m_1, ..., m_r) per signature with m_k <= n_k and total 2i.
     """
     if mode not in MINOR_MODES:
         raise DomainError(f"mode must be one of {MINOR_MODES}")
     n = space.manifold_dim
     if not 0 <= 2 * i <= n:
         raise DomainError(f"minor index {i} out of range for dimension {n}")
-    profile = profile or variance_profile("def-d", space.degrees)
-    total = Fraction(0)
-    for signature in _signatures(space.dims, 2 * i):
-        problem = MatchingProblem(signature, space.degrees, profile)
-        term = matching_determinant_exact(problem)
-        if mode == "corrected":
-            mult = math.prod(math.comb(nk, mk)
-                             for nk, mk in zip(space.dims, signature))
-            term *= mult
-        total += term
-    return total
+    profile = profile or variance_profile(DEFAULT_PROFILE, space.degrees)
+    if len(profile.within_offdiag) != space.r:
+        raise DomainError("profile length does not match the degrees")
+    if 2 * i > MATCHING_VERTEX_CAP:
+        raise ResourceError(f"matching sum capped at {MATCHING_VERTEX_CAP} vertices")
+    def coefficient(sizes) -> Fraction:
+        groups = _canonical(zip(sizes, profile.within_offdiag))
+        return _matching_polynomial(groups, profile.cross)[i]
+
+    if mode == "corrected":
+        return (-1) ** i * coefficient(space.dims)
+    return (-1) ** i * sum(coefficient(m) for m in product(
+        *(range(nk + 1) for nk in space.dims)) if sum(m) == 2 * i)
 
 
 def expected_minor_sum(space: SpaceSpec, i: int,
                        profile: VarianceProfile | None = None,
                        mode: str = "corrected") -> float:
     return float(expected_minor_sum_exact(space, i, profile, mode))
-
-
-def _signatures(dims, total):
-    """All tuples (m_1, ..., m_r) with 0 <= m_k <= n_k summing to total."""
-    if len(dims) == 1:
-        if 0 <= total <= dims[0]:
-            yield (total,)
-        return
-    for first in range(min(dims[0], total) + 1):
-        for rest in _signatures(dims[1:], total - first):
-            yield (first,) + rest

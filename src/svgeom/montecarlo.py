@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,10 @@ MC_TUBE_AMBIENT_CAP = 12
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample count, seed, optional output path (keyword only)."""
+    """Sample count and seed."""
 
     samples: int
     seed: int = 42
-    output: Path | str | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.samples < 1:
@@ -66,7 +65,7 @@ class Histogram:
             fh.write("bin_left,bin_right,count\n")
             for left, right, count in zip(self.bin_edges[:-1],
                                           self.bin_edges[1:], self.counts):
-                fh.write(f"{left!r},{right!r},{int(count)}\n")
+                fh.write(f"{float(left)!r},{float(right)!r},{int(count)}\n")
 
 
 def _make_histogram(values: np.ndarray, bins: int = 100) -> Histogram:
@@ -100,11 +99,13 @@ def _mean_and_error(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), std_error
 
 
-def mc_expected_det(problem: MatchingProblem, cfg: McConfig) -> McStats:
+def mc_expected_det(problem: MatchingProblem, cfg: McConfig, *,
+                    output: Path | str | None = None) -> McStats:
     """Sample determinants of the block matrix and report their statistics.
 
     The mean estimates the signed weighted matching sum; a 100-bin histogram
-    of the empirical distribution is attached and optionally written as CSV.
+    of the empirical distribution is attached and, given an output path,
+    written there as CSV.
     """
     profile = problem.resolved_profile()
     chunks = []
@@ -114,8 +115,8 @@ def mc_expected_det(problem: MatchingProblem, cfg: McConfig) -> McStats:
     values = np.concatenate(chunks)
     mean, std_error = _mean_and_error(values)
     hist = _make_histogram(values)
-    if cfg.output is not None:
-        hist.to_csv(cfg.output)
+    if output is not None:
+        hist.to_csv(output)
     return McStats(mean, std_error, cfg.samples, cfg.seed, hist)
 
 

@@ -210,7 +210,7 @@ def criterion_figure(full: bool = True) -> CriterionResult:
     problem = MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "det_histogram.csv")
-        stats = mc_expected_det(problem, McConfig(samples, seed=42, output=path))
+        stats = mc_expected_det(problem, McConfig(samples, seed=42), output=path)
         csv_ok = os.path.getsize(path) > 0
     err = abs(stats.mean + 10.0)
     ok = csv_ok and err <= 3.0 * stats.std_error

@@ -28,7 +28,7 @@ from .bw_algebra import SpaceSpec
 from .errors import DomainError
 from .geodesics_reach import reach
 from .matchings import expected_minor_sum_exact
-from .weingarten import VarianceProfile, variance_profile
+from .weingarten import DEFAULT_PROFILE, VarianceProfile, variance_profile
 
 EXPONENT_CONVENTIONS = ("corrected", "paper")
 
@@ -194,7 +194,7 @@ def tube_volume(space: SpaceSpec, eps: float,
 
     Valid below the reach; larger radii are still evaluated but flagged.
     """
-    profile = profile or variance_profile("def-d", space.degrees)
+    profile = profile or variance_profile(DEFAULT_PROFILE, space.degrees)
     c = space.normal_dim
     if c < 1:
         raise DomainError("the manifold must have positive codimension")

@@ -38,7 +38,8 @@ class VarianceProfile:
     k-th diagonal block (it doubles as the within-group edge weight of the
     matching combinatorics), within_diag[k] the variance of its diagonal
     entries, cross the variance of entries in off-diagonal blocks.  Values
-    are exact rationals so the matching sums stay exact.
+    are converted to exact rationals on construction (floats exactly), so
+    the matching sums stay exact and float(value) is the value given.
     """
 
     name: str
@@ -50,6 +51,9 @@ class VarianceProfile:
         if any(v < 0 for v in self.within_offdiag) or \
            any(v < 0 for v in self.within_diag) or self.cross < 0:
             raise DomainError("variances must be nonnegative")
+        for key in ("within_offdiag", "within_diag"):
+            object.__setattr__(self, key, tuple(map(Fraction, getattr(self, key))))
+        object.__setattr__(self, "cross", Fraction(self.cross))
 
 
 # Profile name -> within-block off-diagonal variance for a factor of degree d.
@@ -59,6 +63,8 @@ _WITHIN_VARIANCE = {
     "corollary": lambda d: Fraction(d * (d - 1), 4),
 }
 PROFILE_NAMES = tuple(_WITHIN_VARIANCE)
+# Default profile of the exact formulas: matching, minor and tube sums.
+DEFAULT_PROFILE = "def-d"
 
 
 def variance_profile(name: str, degrees) -> VarianceProfile:

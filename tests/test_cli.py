@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from svgeom.cli import main
+from svgeom.cli import build_parser, main
+from svgeom.weingarten import DEFAULT_PROFILE
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +173,22 @@ def test_domain_error_exit_code(capsys):
 def test_resource_error_exit_code(capsys):
     assert main(["mc-tube", "--dims", "3,3", "--degrees", "2,2",
                  "--epsilon", "0.1", "--samples", "10"]) == 3
+
+
+def test_tube_beyond_the_vertex_cap_exit_code(capsys):
+    code, doc, err = run_cli(capsys, "tube", "--dims", "14,14",
+                             "--degrees", "1,1", "--epsilon", "0.1")
+    assert code == 3
+    assert doc is None
+    assert "resource guard" in err
+
+
+@pytest.mark.parametrize("subcommand", ["dd", "minors", "tube", "mc-det"])
+def test_exact_profile_default_is_shared(subcommand):
+    argv = [subcommand, "--dims", "1", "--degrees", "2"]
+    if subcommand == "tube":
+        argv += ["--epsilon", "0.1"]
+    assert build_parser().parse_args(argv).profile == DEFAULT_PROFILE
 
 
 def test_selftest_quick(capsys):

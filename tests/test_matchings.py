@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from svgeom import (
     matching_determinant,
     matching_determinant_exact,
     naive_matching_sum,
+    tube_volume,
     variance_profile,
     weighted_matching_sum,
 )
@@ -190,3 +194,90 @@ def test_problem_validation():
 def test_memoized_equals_naive_at_cap():
     p = MatchingProblem((4, 3, 3), (2, 1, 3))
     assert weighted_matching_sum(p) == naive_matching_sum(p)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle for every minor order
+# ---------------------------------------------------------------------------
+
+def _compositions(n):
+    """Every dims tuple of positive parts summing to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+# Every dims tuple with n <= 8 and at most four factors, under two degree
+# patterns: all within weights nonzero, and a degree-1 factor among them.
+ORACLE_SPACES = [SpaceSpec(dims, pattern[:len(dims)])
+                 for n in range(1, 9) for dims in _compositions(n)
+                 if len(dims) <= 4 for pattern in ((2, 3, 2, 3), (1, 2, 3, 1))]
+
+
+@pytest.mark.parametrize("name", PROFILE_NAMES)
+def test_minor_sums_match_subset_brute_force(name):
+    # The oracle walks labelled vertex subsets and signatures with
+    # itertools and evaluates each by the literal pairing enumeration, so
+    # it shares no code with the matching recursion.
+    for space in ORACLE_SPACES:
+        profile = variance_profile(name, space.degrees)
+        labels = [g for g, nk in enumerate(space.dims) for _ in range(nk)]
+
+        @functools.cache
+        def naive(signature):
+            return naive_matching_sum(
+                MatchingProblem(signature, space.degrees, profile))
+
+        for i in range(space.manifold_dim // 2 + 1):
+            sign = (-1) ** i
+            counts = Counter(
+                tuple(sum(1 for v in subset if labels[v] == g)
+                      for g in range(space.r))
+                for subset in itertools.combinations(range(len(labels)), 2 * i))
+            corrected = sum(k * sign * naive(sig) for sig, k in counts.items())
+            assert expected_minor_sum_exact(space, i, profile) == corrected
+            signatures = [m for m in itertools.product(
+                *(range(nk + 1) for nk in space.dims)) if sum(m) == 2 * i]
+            for m in signatures:
+                assert matching_determinant_exact(MatchingProblem(
+                    m, space.degrees, profile)) == sign * naive(m)
+            paper = sum(sign * naive(m) for m in signatures)
+            assert expected_minor_sum_exact(space, i, profile,
+                                            mode="paper") == paper
+
+
+# ---------------------------------------------------------------------------
+# errors the minor sums and tube volumes raise
+# ---------------------------------------------------------------------------
+
+def test_profile_length_mismatch_raises():
+    space = SpaceSpec((2, 2), (2, 2))
+    short = variance_profile("def-d", (2,))
+    for i in (0, 1, 2):
+        for mode in ("corrected", "paper"):
+            with pytest.raises(DomainError):
+                expected_minor_sum_exact(space, i, short, mode)
+    with pytest.raises(DomainError):
+        tube_volume(space, 0.1, profile=short)
+
+
+def test_minor_sums_beyond_the_vertex_cap():
+    space = SpaceSpec((14, 14), (1, 1))
+    assert expected_minor_sum_exact(space, 1) == -196
+    with pytest.raises(ResourceError):
+        expected_minor_sum_exact(space, 13)
+    with pytest.raises(ResourceError):
+        expected_minor_sum_exact(space, 13, mode="paper")
+    with pytest.raises(ResourceError):
+        tube_volume(space, 0.1)
+
+
+def test_many_singleton_groups_stay_cheap():
+    # Groups that agree in size and weight are interchangeable, so 24
+    # one-vertex groups give 24 memo states, not 2^24.
+    space = SpaceSpec((1,) * 24, (1, 2, 3) * 8)
+    assert expected_minor_sum_exact(space, 1) == -math.comb(24, 2)
+    assert expected_minor_sum_exact(space, 12) == math.prod(range(1, 24, 2))

@@ -58,10 +58,16 @@ def test_config_validation():
 
 
 def test_config_output_is_keyword_only():
-    # A third positional argument must not land in the output path, where
-    # an integer would be opened as a file descriptor.
+    # A third positional argument must not be taken as an output path,
+    # where an integer would be opened as a file descriptor.
     with pytest.raises(TypeError):
         McConfig(100, 1, 4)
+
+
+def test_only_the_determinant_oracle_takes_an_output_path():
+    assert not hasattr(McConfig(10), "output")
+    with pytest.raises(TypeError):
+        McConfig(10, output="ignored.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +99,7 @@ def test_det_proof_variance_case():
 def test_histogram_csv_format(tmp_path):
     path = tmp_path / "hist.csv"
     p = MatchingProblem((1, 1), (1, 1))
-    stats = mc_expected_det(p, McConfig(5_000, seed=14, output=path))
+    stats = mc_expected_det(p, McConfig(5_000, seed=14), output=path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "bin_left,bin_right,count"
     assert len(lines) == 101
@@ -101,6 +107,16 @@ def test_histogram_csv_format(tmp_path):
     assert sum(counts) <= 5_000
     assert sum(counts) >= 4_900  # only the extreme tails are clipped
     assert stats.histogram is not None
+
+
+def test_expected_det_writes_its_histogram(tmp_path):
+    path = tmp_path / "hist.csv"
+    p = MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1))
+    stats = mc_expected_det(p, McConfig(2_000, seed=22), output=path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [int(row[2]) for row in rows] == stats.histogram.counts.tolist()
+    assert [float(row[0]) for row in rows] == \
+        stats.histogram.bin_edges[:-1].tolist()
 
 
 # ---------------------------------------------------------------------------
