@@ -14,10 +14,11 @@ All weights are exact rationals; floats appear only at the API boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
 from .bw_algebra import SpaceSpec
 from .errors import DomainError, ResourceError
@@ -61,39 +62,32 @@ class MatchingProblem:
 
 def _canonical(groups) -> tuple:
     """Memo key of a vertex multiset: its nonempty (count, within weight)
-    groups, sorted.  A group below two vertices has no within edge, so its
-    weight is irrelevant and set to 0; groups that agree are interchangeable.
+    groups, sorted.  A lone vertex has no within edge, so its weight is
+    set to 0; groups that agree are interchangeable and share states.
     """
     return tuple(sorted((c, w if c > 1 else 0) for c, w in groups if c))
 
 
 @lru_cache(maxsize=None)
-def _matching_polynomial(groups: tuple, cross: Fraction) -> tuple:
-    """Coefficients P[j]: the weighted sum of all j-edge matchings.
+def _matching_sum(groups: tuple, cross: Fraction) -> Fraction:
+    """Sum over perfect matchings of the product of edge weights.
 
-    A j-edge matching is a perfect matching of exactly one 2j-vertex
-    subset, so P[j] is also the sum over those subsets of their weighted
-    perfect-matching sums, and P[m/2] of an m-vertex graph is its own.
-    Takes one vertex of the first group and either drops it (leaves it
-    unmatched) or pairs it within its group or across groups.  One memo,
-    kept for the life of the process and keyed by the canonical groups,
-    serves every matching sum, matching count and minor order.
+    Pairs one vertex of the first group within its group or across groups.
+    One memo, kept for the life of the process and keyed by the canonical
+    groups, serves every matching sum, count, signature and minor index.
     """
     if not groups:
-        return (Fraction(1),)
+        return Fraction(1)
     (c, w), rest = groups[0], groups[1:]
-    out = [Fraction(0)] * ((c + sum(n for n, _ in rest)) // 2 + 1)
-    branches = [(0, 1, ((c - 1, w),) + rest)]
+    total = Fraction(0)
     if c > 1 and w:
-        branches.append((1, (c - 1) * w, ((c - 2, w),) + rest))
+        total += (c - 1) * w * _matching_sum(
+            _canonical(((c - 2, w),) + rest), cross)
     if cross:
         for h, (n, v) in enumerate(rest):
-            branches.append((1, n * cross, ((c - 1, w),) + rest[:h]
-                             + ((n - 1, v),) + rest[h + 1:]))
-    for shift, scale, nxt in branches:
-        for j, coeff in enumerate(_matching_polynomial(_canonical(nxt), cross)):
-            out[j + shift] += scale * coeff
-    return tuple(out)
+            nxt = ((c - 1, w),) + rest[:h] + ((n - 1, v),) + rest[h + 1:]
+            total += n * cross * _matching_sum(_canonical(nxt), cross)
+    return total
 
 
 def _perfect_matchings(p: MatchingProblem, within, cross) -> Fraction:
@@ -101,7 +95,7 @@ def _perfect_matchings(p: MatchingProblem, within, cross) -> Fraction:
         raise ResourceError(f"matching sums capped at {MATCHING_VERTEX_CAP} vertices")
     if p.m % 2:
         return Fraction(0)
-    return _matching_polynomial(_canonical(zip(p.group_sizes, within)), cross)[p.m // 2]
+    return _matching_sum(_canonical(zip(p.group_sizes, within)), cross)
 
 
 def weighted_matching_sum(p: MatchingProblem) -> Fraction:
@@ -220,11 +214,11 @@ def expected_minor_sum_exact(space: SpaceSpec, i: int,
                              mode: str = "corrected") -> Fraction:
     """Expected sum of the 2i x 2i principal minors of the block operator.
 
-    The expected 2i x 2i principal minor on a vertex subset is its signed
-    matching sum (-1)^i D, so the corrected mode is (-1)^i P(dims)[i], which
-    counts each block signature (m_1, ..., m_r) once per principal subset
-    realizing it.  The literal mode reproduces the published sum, one
-    D(m_1, ..., m_r) per signature with m_k <= n_k and total 2i.
+    Sums the expected block determinants over all block signatures
+    (m_1, ..., m_r) with m_k <= n_k and total 2i.  The corrected mode
+    multiplies each signature by the number of principal subsets realizing
+    it, prod_k C(n_k, m_k); the literal mode reproduces the published sum
+    without these multiplicities.
     """
     if mode not in MINOR_MODES:
         raise DomainError(f"mode must be one of {MINOR_MODES}")
@@ -232,21 +226,27 @@ def expected_minor_sum_exact(space: SpaceSpec, i: int,
     if not 0 <= 2 * i <= n:
         raise DomainError(f"minor index {i} out of range for dimension {n}")
     profile = profile or variance_profile(DEFAULT_PROFILE, space.degrees)
-    if len(profile.within_offdiag) != space.r:
-        raise DomainError("profile length does not match the degrees")
-    if 2 * i > MATCHING_VERTEX_CAP:
-        raise ResourceError(f"matching sum capped at {MATCHING_VERTEX_CAP} vertices")
-    def coefficient(sizes) -> Fraction:
-        groups = _canonical(zip(sizes, profile.within_offdiag))
-        return _matching_polynomial(groups, profile.cross)[i]
-
-    if mode == "corrected":
-        return (-1) ** i * coefficient(space.dims)
-    return (-1) ** i * sum(coefficient(m) for m in product(
-        *(range(nk + 1) for nk in space.dims)) if sum(m) == 2 * i)
+    total = Fraction(0)
+    for m in _signatures(space.dims, 2 * i):
+        mult = math.prod(map(math.comb, space.dims, m)) if mode == "corrected" else 1
+        total += mult * matching_determinant_exact(MatchingProblem(m, space.degrees, profile))
+    return total
 
 
 def expected_minor_sum(space: SpaceSpec, i: int,
                        profile: VarianceProfile | None = None,
                        mode: str = "corrected") -> float:
     return float(expected_minor_sum_exact(space, i, profile, mode))
+
+
+def _signatures(dims, total):
+    """All tuples (m_1, ..., m_r) with 0 <= m_k <= n_k summing to total,
+    for total <= sum(dims); every first part leaves a total the rest holds.
+    """
+    if not dims:
+        yield ()
+        return
+    rest = dims[1:]
+    for first in range(max(0, total - sum(rest)), min(dims[0], total) + 1):
+        for tail in _signatures(rest, total - first):
+            yield (first,) + tail

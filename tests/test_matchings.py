@@ -276,8 +276,25 @@ def test_minor_sums_beyond_the_vertex_cap():
 
 
 def test_many_singleton_groups_stay_cheap():
-    # Groups that agree in size and weight are interchangeable, so 24
-    # one-vertex groups give 24 memo states, not 2^24.
+    # Groups that agree in size and weight are interchangeable, so the 24
+    # one-vertex groups share one memo state per matched count, and the
+    # signature walk visits only tuples that can still reach 2i.
     space = SpaceSpec((1,) * 24, (1, 2, 3) * 8)
     assert expected_minor_sum_exact(space, 1) == -math.comb(24, 2)
+    assert expected_minor_sum_exact(space, 1, mode="paper") == -math.comb(24, 2)
     assert expected_minor_sum_exact(space, 12) == math.prod(range(1, 24, 2))
+
+
+def test_low_orders_on_large_spaces():
+    # The work follows the 2i vertices of the minors, not the dimension.
+    # Degree 1 has no within edges, so only cross pairs count.
+    assert expected_minor_sum_exact(SpaceSpec((40, 40, 40), (1, 1, 1)), 1) \
+        == -3 * 40 * 40
+    assert expected_minor_sum_exact(SpaceSpec((1200,), (2,)), 1) \
+        == -math.comb(1200, 2) * 2
+    # A tube at the 24-vertex cap gets every order; a larger one raises at
+    # the first order above it.
+    report = tube_volume(SpaceSpec((13, 11), (2, 1)), 0.01)
+    assert [t.i for t in report.terms] == list(range(13))
+    with pytest.raises(ResourceError):
+        tube_volume(SpaceSpec((300, 300), (1, 1)), 0.01)
