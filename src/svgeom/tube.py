@@ -3,9 +3,10 @@
 The volume of the set of unit tensors within angular distance eps of the
 manifold expands as a finite sum of radial integrals weighted by curvature
 coefficients: manifold volume times the volume of the normal sphere times
-sum_i a_i * J_i(eps).  The radial integrals are evaluated both by adaptive
-Simpson quadrature and in closed form through the regularized incomplete
-beta function, and the two must agree.
+sum_i a_i * J_i(eps).  The radial integrals J_i = B_x(p, q) / 2, with
+x = sin^2 eps, come from an incomplete beta computed in log space in pure
+Python (lgamma and a continued fraction), and every one is cross-checked
+against adaptive Simpson quadrature split at the kernel's peak.
 
 Two printed conventions are kept selectable so they can be adjudicated
 against direct Monte Carlo volume estimates: the exponent of the sine in the
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .bw_algebra import SpaceSpec
 from .errors import DomainError
@@ -92,8 +92,63 @@ def radial_integral_quadrature(i: int, space: SpaceSpec, eps: float,
     a = _sine_exponent(i, space, convention)
     b = space.manifold_dim - 2 * i
     _check_radial_args(i, space, eps)
-    return _adaptive_simpson(
-        lambda phi: math.sin(phi) ** a * math.cos(phi) ** b, 0.0, eps)
+
+    def kernel(phi):
+        return math.sin(phi) ** a * math.cos(phi) ** b
+
+    # A first panel whose three samples all miss the interior peak can pass
+    # its own error test, so integrate up to the peak and beyond it apart.
+    peak = math.atan2(math.sqrt(a), math.sqrt(b))
+    if 0.0 < peak < eps:
+        return (_adaptive_simpson(kernel, 0.0, peak)
+                + _adaptive_simpson(kernel, peak, eps))
+    return _adaptive_simpson(kernel, 0.0, eps)
+
+
+def _log_beta_cf(p: float, q: float, x: float, y: float) -> float:
+    """log B_x(p, q) for x = 1 - y below the mean p / (p + q).
+
+    B_x(p, q) = x^p y^q / p * K, with K the continued fraction of the
+    regularized incomplete beta, evaluated by the modified Lentz method.
+    """
+    tiny = 1e-300
+
+    def guard(v):
+        return v if abs(v) >= tiny else tiny
+
+    c, d = 1.0, 1.0 / guard(1.0 - (p + q) * x / (p + 1.0))
+    frac = d
+    for m in range(1, 10_000):
+        for num in (m * (q - m) * x / ((p + 2 * m - 1) * (p + 2 * m)),
+                    -(p + m) * (p + q + m) * x
+                    / ((p + 2 * m) * (p + 2 * m + 1))):
+            d = 1.0 / guard(1.0 + num * d)
+            c = guard(1.0 + num / c)
+            frac *= c * d
+        if abs(c * d - 1.0) <= 1e-15:
+            return p * math.log(x) + q * math.log(y) - math.log(p) + \
+                math.log(frac)
+    raise ArithmeticError(f"incomplete beta({p}, {q}, {x}) did not converge")
+
+
+def _log_incomplete_beta(p: float, q: float, x: float, y: float) -> float:
+    """log of B_x(p, q) = int_0^x t^(p-1) (1-t)^(q-1) dt, with y = 1 - x.
+
+    Both x and y are passed so that neither is formed by a cancelling
+    subtraction.  Above the mean p / (p + q) the symmetry
+    B_x(p, q) = B(p, q) - B_y(q, p) keeps the continued fraction in its
+    fast range; the subtraction loses no relative accuracy there, since
+    the result is at least about half the complete beta.
+    """
+    if x <= 0.0:
+        return -math.inf
+    complete = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    if x >= 1.0:
+        return complete
+    if x <= p / (p + q):
+        return _log_beta_cf(p, q, x, y)
+    return complete + math.log1p(-math.exp(_log_beta_cf(q, p, y, x)
+                                           - complete))
 
 
 def radial_integral(i: int, space: SpaceSpec, eps: float,
@@ -101,15 +156,15 @@ def radial_integral(i: int, space: SpaceSpec, eps: float,
     """Closed form of int_0^eps sin^a cos^b through the incomplete beta.
 
     Cross-checked against adaptive quadrature on every call; a disagreement
-    beyond 1e-10 raises, since it would indicate a broken kernel.
+    beyond 1e-10 raises, since it would indicate a broken kernel.  The gap
+    is absolute, so it only guards terms of order one.
     """
     a = _sine_exponent(i, space, convention)
     b = space.manifold_dim - 2 * i
     _check_radial_args(i, space, eps)
     p, q = (a + 1) / 2.0, (b + 1) / 2.0
-    x = math.sin(eps) ** 2
-    complete = math.exp(special.betaln(p, q))
-    value = 0.5 * complete * float(special.betainc(p, q, x))
+    value = 0.5 * math.exp(_log_incomplete_beta(
+        p, q, math.sin(eps) ** 2, math.cos(eps) ** 2))
     check = radial_integral_quadrature(i, space, eps, convention)
     if abs(value - check) > 1e-10:
         raise ArithmeticError(

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import svgeom
 from svgeom.cli import build_parser, main
 from svgeom.weingarten import DEFAULT_PROFILE
 
@@ -199,3 +205,32 @@ def test_selftest_quick(capsys):
     assert doc["config"] == {"full": False}
     assert len(doc["criteria"]) == 9
     assert err.count("[PASS]") == 9
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # A fresh interpreter in which any scipy import fails: the package, a
+    # tube query and the quick selftest must not need it.
+    script = textwrap.dedent("""
+        import sys
+
+        class BlockScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ImportError("scipy is blocked")
+                return None
+
+        sys.meta_path.insert(0, BlockScipy())
+        import svgeom, svgeom.cli
+        codes = [svgeom.cli.main(["tube", "--dims", "2", "--degrees", "2",
+                                  "--epsilon", "0.4"]),
+                 svgeom.cli.main(["selftest"])]
+        assert "scipy" not in sys.modules
+        sys.exit(max(codes))
+    """)
+    src = str(Path(svgeom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr

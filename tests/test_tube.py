@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +82,57 @@ def test_radial_integral_dual_evaluation():
         quad = radial_integral_quadrature(i, space, eps, convention)
         assert abs(closed - quad) <= 1e-10
         checked += 1
+
+
+def _beta_args(i, space, convention):
+    """(p, q) of J_i = B_x(p, q) / 2 for the kernel sin^a cos^b."""
+    c = space.normal_dim
+    a = c - 1 + 2 * i if convention == "corrected" else c + 2 * i
+    return (a + 1) / 2, (space.manifold_dim - 2 * i + 1) / 2
+
+
+def _mp_radial(i, space, eps, convention):
+    """J_i from mpmath's incomplete beta at 30 digits, exact float eps."""
+    mpmath = pytest.importorskip("mpmath")
+    p, q = _beta_args(i, space, convention)
+    with mpmath.workdps(30):
+        x = mpmath.sin(mpmath.mpf(eps)) ** 2
+        return float(mpmath.betainc(p, q, 0, x) / 2)
+
+
+def test_radial_integral_relative_accuracy():
+    # High codimension puts x = sin^2 eps below the mean p / (p + q) of the
+    # incomplete beta; low codimension and larger eps put it above, where
+    # the x <-> 1 - x symmetry applies; eps = pi/2 gives x = 1.
+    spaces = [SpaceSpec((3, 3), (2, 2)), SpaceSpec((6, 6, 6, 6), (1, 1, 1, 1)),
+              SpaceSpec((8, 8, 8), (1, 1, 2)), SpaceSpec((12, 12), (1, 1)),
+              SpaceSpec((2,), (3,)), SpaceSpec((1,), (2,))]
+    sides = set()
+    for space in spaces:
+        for convention in ("corrected", "paper"):
+            for eps in (0.05, 0.2, 0.7, 1.2, math.pi / 2):
+                for i in range(space.manifold_dim // 2 + 1):
+                    p, q = _beta_args(i, space, convention)
+                    x = math.sin(eps) ** 2
+                    sides.add("one" if x >= 1.0 else x > p / (p + q))
+                    exact = _mp_radial(i, space, eps, convention)
+                    if exact < sys.float_info.min:
+                        continue
+                    value = radial_integral(i, space, eps, convention)
+                    assert abs(value - exact) <= 1e-10 * exact, \
+                        (space, convention, eps, i, value, exact)
+    assert sides == {False, True, "one"}
+
+
+def test_tube_volume_at_quarter_turn():
+    # Every sample of an unsplit first Simpson panel misses the kernel's
+    # peak here, which the cross-check would report as a mismatch.
+    for space in (SpaceSpec((2,), (3,)), SpaceSpec((6, 6, 6, 6), (1, 1, 1, 1))):
+        report = tube_volume(space, math.pi / 2)
+        for term in report.terms:
+            exact = _mp_radial(term.i, space, math.pi / 2, "corrected")
+            if exact >= sys.float_info.min:
+                assert abs(term.j - exact) <= 1e-10 * exact
 
 
 def test_radial_integral_domain_checks():
