@@ -214,11 +214,14 @@ def expected_minor_sum_exact(space: SpaceSpec, i: int,
                              mode: str = "corrected") -> Fraction:
     """Expected sum of the 2i x 2i principal minors of the block operator.
 
-    Sums the expected block determinants over all block signatures
+    Sums the expected block determinants D(m) over all block signatures
     (m_1, ..., m_r) with m_k <= n_k and total 2i.  The corrected mode
     multiplies each signature by the number of principal subsets realizing
     it, prod_k C(n_k, m_k); the literal mode reproduces the published sum
-    without these multiplicities.
+    without these multiplicities.  Signatures that differ by permuting the
+    parts of interchangeable factors share both D(m) and the multiplicity,
+    so each orbit is evaluated once and weighted by its size
+    (`_signature_orbits`).
     """
     if mode not in MINOR_MODES:
         raise DomainError(f"mode must be one of {MINOR_MODES}")
@@ -226,10 +229,14 @@ def expected_minor_sum_exact(space: SpaceSpec, i: int,
     if not 0 <= 2 * i <= n:
         raise DomainError(f"minor index {i} out of range for dimension {n}")
     profile = profile or variance_profile(DEFAULT_PROFILE, space.degrees)
+    if len(profile.within_offdiag) != space.r:
+        raise DomainError("profile length does not match the degrees")
     total = Fraction(0)
-    for m in _signatures(space.dims, 2 * i):
-        mult = math.prod(map(math.comb, space.dims, m)) if mode == "corrected" else 1
-        total += mult * matching_determinant_exact(MatchingProblem(m, space.degrees, profile))
+    for m, ways in _signature_orbits(space.dims, profile.within_offdiag, 2 * i):
+        if mode == "corrected":
+            ways *= math.prod(map(math.comb, space.dims, m))
+        total += ways * matching_determinant_exact(
+            MatchingProblem(m, space.degrees, profile))
     return total
 
 
@@ -239,14 +246,41 @@ def expected_minor_sum(space: SpaceSpec, i: int,
     return float(expected_minor_sum_exact(space, i, profile, mode))
 
 
-def _signatures(dims, total):
-    """All tuples (m_1, ..., m_r) with 0 <= m_k <= n_k summing to total,
-    for total <= sum(dims); every first part leaves a total the rest holds.
+def _signature_orbits(dims, weights, total):
+    """One signature m (0 <= m_k <= n_k, summing to total) per orbit of
+    interchangeable factors, with the orbit's size.
+
+    Factors with equal (n_k, w_k) form a class; permuting the parts inside
+    a class changes neither D(m) nor prod_k C(n_k, m_k).  The walk keeps
+    the parts of each class non-increasing and enters only branches whose
+    remaining factors can still hold the rest of the total.  A class of r_c
+    factors whose parts repeat with multiplicities mu contributes
+    r_c! / prod mu! to the orbit size, built up one factor at a time.
+    Yields (m, size), m in factor order.
     """
-    if not dims:
-        yield ()
-        return
-    rest = dims[1:]
-    for first in range(max(0, total - sum(rest)), min(dims[0], total) + 1):
-        for tail in _signatures(rest, total - first):
-            yield (first,) + tail
+    order = sorted(range(len(dims)), key=lambda k: (dims[k], weights[k]))
+    keys = [(dims[k], weights[k]) for k in order]
+    # stop[j]: the position after the last one of j's class; room[j]: the
+    # capacity of positions j onwards.
+    stop, room = [0] * len(keys), [0] * (len(keys) + 1)
+    for j in reversed(range(len(keys))):
+        tail = j + 1 < len(keys) and keys[j + 1] == keys[j]
+        stop[j] = stop[j + 1] if tail else j + 1
+        room[j] = room[j + 1] + keys[j][0]
+    m = [0] * len(dims)
+
+    def walk(j, left, ways, rank, tied):
+        if j == len(keys):
+            yield tuple(m), ways
+            return
+        same = j > 0 and keys[j] == keys[j - 1]
+        rank, prev = (rank + 1, m[order[j - 1]]) if same else (1, keys[j][0])
+        # The rest of the class holds at most this part per factor.
+        low = max(0, -((room[stop[j]] - left) // (stop[j] - j)))
+        for part in range(low, min(prev, left) + 1):
+            # Of the class's first `rank` parts, `t` equal this one.
+            t = tied + 1 if same and part == prev else 1
+            m[order[j]] = part
+            yield from walk(j + 1, left - part, ways * rank // t, rank, t)
+
+    yield from walk(0, total, 1, 0, 0)

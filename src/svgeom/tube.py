@@ -6,7 +6,7 @@ coefficients: manifold volume times the volume of the normal sphere times
 sum_i a_i * J_i(eps).  The radial integrals J_i = B_x(p, q) / 2, with
 x = sin^2 eps, come from an incomplete beta computed in log space in pure
 Python (lgamma and a continued fraction), and every one is cross-checked
-against adaptive Simpson quadrature split at the kernel's peak.
+against adaptive Simpson quadrature cut around the kernel's peak.
 
 Two printed conventions are kept selectable so they can be adjudicated
 against direct Monte Carlo volume estimates: the exponent of the sine in the
@@ -96,13 +96,16 @@ def radial_integral_quadrature(i: int, space: SpaceSpec, eps: float,
     def kernel(phi):
         return math.sin(phi) ** a * math.cos(phi) ** b
 
-    # A first panel whose three samples all miss the interior peak can pass
-    # its own error test, so integrate up to the peak and beyond it apart.
+    # A panel whose samples all miss the kernel's bump can pass its own
+    # error test, so the bump gets panels of its own.  The kernel is
+    # log-concave with its mode at atan(sqrt(a/b)) and, by Laplace's method,
+    # width 1/sqrt(2(a+b)); cut at the mode and three widths either side.
     peak = math.atan2(math.sqrt(a), math.sqrt(b))
-    if 0.0 < peak < eps:
-        return (_adaptive_simpson(kernel, 0.0, peak)
-                + _adaptive_simpson(kernel, peak, eps))
-    return _adaptive_simpson(kernel, 0.0, eps)
+    spread = 3.0 / math.sqrt(2.0 * (a + b))
+    edges = [0.0, *(x for x in (peak - spread, peak, peak + spread)
+                    if 0.0 < x < eps), eps]
+    return sum(_adaptive_simpson(kernel, lo, hi)
+               for lo, hi in zip(edges, edges[1:]))
 
 
 def _log_beta_cf(p: float, q: float, x: float, y: float) -> float:

@@ -25,6 +25,7 @@ from svgeom import (
     variance_profile,
     weighted_matching_sum,
 )
+from svgeom import matchings
 from svgeom.weingarten import PROFILE_NAMES
 
 
@@ -250,6 +251,83 @@ def test_minor_sums_match_subset_brute_force(name):
 
 
 # ---------------------------------------------------------------------------
+# one signature per orbit of interchangeable factors
+# ---------------------------------------------------------------------------
+
+ORBIT_SPACES = ORACLE_SPACES + [
+    SpaceSpec((6, 6, 6, 6), (1, 1, 1, 1)), SpaceSpec((2,) * 6, (1, 2) * 3),
+    SpaceSpec((3, 3, 1, 1), (2, 2, 1, 3)), SpaceSpec((1,) * 8, (1, 2) * 4),
+    SpaceSpec((2, 2, 2, 2), (1, 3, 1, 3))]
+
+
+def test_signature_orbits_cover_the_ordered_signatures():
+    # The oracle sorts the parts of each (n_k, w_k) class of every ordered
+    # signature from itertools; the orbit walk must yield exactly those
+    # sorted representatives, each with the number of ordered signatures
+    # behind it.  Then sum(ways * g(m)) is the ordered sum for every g that
+    # is symmetric inside the classes, such as the corrected summand.
+    for space in ORBIT_SPACES:
+        profile = variance_profile("def-d", space.degrees)
+        classes = {}
+        for k, key in enumerate(zip(space.dims, profile.within_offdiag)):
+            classes.setdefault(key, []).append(k)
+
+        def representative(m):
+            out = list(m)
+            for members in classes.values():
+                for k, part in zip(members, sorted((m[k] for k in members),
+                                                   reverse=True)):
+                    out[k] = part
+            return tuple(out)
+
+        def g(m):
+            return math.prod(map(math.comb, space.dims, m)) * \
+                matching_determinant_exact(MatchingProblem(m, space.degrees, profile))
+
+        for total in range(space.manifold_dim + 1):
+            ordered = [m for m in itertools.product(
+                *(range(nk + 1) for nk in space.dims)) if sum(m) == total]
+            orbits = list(matchings._signature_orbits(
+                space.dims, profile.within_offdiag, total))
+            assert Counter(map(representative, ordered)) == dict(orbits)
+            assert len(dict(orbits)) == len(orbits)
+            assert sum(ways for _, ways in orbits) == len(ordered)
+            assert sum(ways * g(m) for m, ways in orbits) == \
+                sum(g(m) for m in ordered)
+
+
+def test_orbit_walk_evaluates_one_determinant_per_orbit(monkeypatch):
+    # Four interchangeable factors: one D(m) per partition of 2i into at
+    # most four parts of size <= 6, 110 over all orders, where the ordered
+    # walk evaluated all 1,201 signatures of even total.
+    calls = []
+    determinant = matchings.matching_determinant_exact
+    monkeypatch.setattr(matchings, "matching_determinant_exact",
+                        lambda p: calls.append(p) or determinant(p))
+    space = SpaceSpec((6, 6, 6, 6), (1, 1, 1, 1))
+    for i in range(13):
+        expected_minor_sum_exact(space, i)
+    assert len(calls) == 110
+
+
+def test_many_alternating_factors():
+    # Twelve two-dim factors in two classes; the ordered walk took 10-13 s
+    # over all orders.  Order 1 pairs two vertices of one factor
+    # (weight w_k) or of two factors (the cross weight x); order 12 is the
+    # single signature dims, with multiplicity one.
+    space = SpaceSpec((2,) * 12, (1, 2) * 6)
+    profile = variance_profile("weingarten", space.degrees)
+    within = sum(math.comb(nk, 2) * wk
+                 for nk, wk in zip(space.dims, profile.within_offdiag))
+    across = sum(a * b for a, b in itertools.combinations(space.dims, 2))
+    assert expected_minor_sum_exact(space, 1, profile) == \
+        -(within + profile.cross * across)
+    assert expected_minor_sum_exact(space, 12, profile) == \
+        matching_determinant_exact(MatchingProblem(space.dims, space.degrees,
+                                                   profile))
+
+
+# ---------------------------------------------------------------------------
 # errors the minor sums and tube volumes raise
 # ---------------------------------------------------------------------------
 
@@ -278,7 +356,7 @@ def test_minor_sums_beyond_the_vertex_cap():
 def test_many_singleton_groups_stay_cheap():
     # Groups that agree in size and weight are interchangeable, so the 24
     # one-vertex groups share one memo state per matched count, and the
-    # signature walk visits only tuples that can still reach 2i.
+    # signature walk visits one signature per orbit of the three classes.
     space = SpaceSpec((1,) * 24, (1, 2, 3) * 8)
     assert expected_minor_sum_exact(space, 1) == -math.comb(24, 2)
     assert expected_minor_sum_exact(space, 1, mode="paper") == -math.comb(24, 2)
