@@ -14,7 +14,6 @@ from .bw_algebra import (
     basis_rank,
     basis_unrank,
     bw_inner,
-    bw_norm,
     evaluate,
     gaussian_tensor,
     multi_indices,
@@ -34,7 +33,6 @@ from .geodesics_reach import (
     reach,
     rho1,
     rho2,
-    rho2_and_bottleneck_check,
 )
 from .manifold import (
     NormalSplit,

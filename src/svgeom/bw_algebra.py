@@ -181,10 +181,6 @@ def bw_inner(f: Tensor, g: Tensor) -> float:
     return float(np.dot(f.coeffs, g.coeffs))
 
 
-def bw_norm(f: Tensor) -> float:
-    return f.norm
-
-
 def angular_distance(f: Tensor, g: Tensor) -> float:
     """Geodesic distance on the unit sphere, arccos of the inner product."""
     _check_same_space(f, g)

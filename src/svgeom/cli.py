@@ -6,6 +6,11 @@ resource guard trips.  The JSON always echoes the resolved configuration so
 runs are reproducible.  Only the sampling subcommands (weingarten, mc-det,
 mc-tube) take a seed: 42 by default, overridable by the SVGEOM_SEED
 environment variable and the --seed flag.
+
+Each subcommand is one entry of `SUBCOMMANDS` (help text, handler, options),
+the only place to add a subcommand or an option: the parser, the config echo
+and the dispatch all read it.  The table is constant, so one parser, built
+at import, serves every call of `main` in a process.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 from .bw_algebra import SpaceSpec
 from .errors import DomainError, ResourceError
@@ -56,206 +63,190 @@ def _default_seed() -> int:
     return 42
 
 
-def _add_space_args(sub, required=True):
-    sub.add_argument("--dims", type=_int_list, required=required,
-                     help="comma-separated factor dims, e.g. 2,2,1,1")
-    sub.add_argument("--degrees", type=_int_list, required=required,
-                     help="comma-separated factor degrees, e.g. 1,1,1,1")
+def _option(*flags, **spec):
+    """The arguments of one `add_argument` call."""
+    return flags, spec
 
 
-def _add_common_args(sub, table=False, seed=False):
-    if seed:
-        sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--json", metavar="PATH", default=None,
-                     help="also write the JSON document to PATH")
-    if table:
-        sub.add_argument("--csv", "--out", dest="csv", metavar="PATH", default=None,
-                         help="write tabular output (matrix, histogram, terms) to PATH")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="svgeom",
-                     description="metric geometry of rank-one tensor manifolds")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sub = subs.add_parser("reach", help="reach and its two radii")
-    _add_space_args(sub)
-    _add_common_args(sub)
-
-    sub = subs.add_parser("curvature", help="extremal curvature of curves")
-    _add_space_args(sub)
-    _add_common_args(sub)
-
-    sub = subs.add_parser("weingarten", help="sample a random shape operator")
-    _add_space_args(sub)
-    sub.add_argument("--method", choices=("assemble", "direct"), default="assemble")
-    sub.add_argument("--profile", choices=PROFILE_NAMES, default="weingarten",
-                     help="variance profile for the direct sampler")
-    _add_common_args(sub, table=True, seed=True)
-
-    sub = subs.add_parser("dd", help="signed weighted matching sum")
-    _add_space_args(sub)
-    sub.add_argument("--profile", choices=PROFILE_NAMES, default=DEFAULT_PROFILE)
-    _add_common_args(sub)
-
-    sub = subs.add_parser("minors", help="expected principal-minor sum")
-    _add_space_args(sub)
-    sub.add_argument("--i", type=int, default=1)
-    sub.add_argument("--profile", choices=PROFILE_NAMES, default=DEFAULT_PROFILE)
-    sub.add_argument("--minor-mode", choices=MINOR_MODES, default="corrected")
-    _add_common_args(sub)
-
-    sub = subs.add_parser("tube", help="tube volume around the manifold")
-    _add_space_args(sub)
-    sub.add_argument("--epsilon", type=float, required=True)
-    sub.add_argument("--exponent-convention", choices=EXPONENT_CONVENTIONS,
-                     default="corrected")
-    sub.add_argument("--minor-mode", choices=MINOR_MODES, default="corrected")
-    sub.add_argument("--profile", choices=PROFILE_NAMES, default=DEFAULT_PROFILE)
-    _add_common_args(sub, table=True)
-
-    sub = subs.add_parser("mc-det", help="Monte Carlo expected determinant")
-    _add_space_args(sub)
-    sub.add_argument("--samples", type=int, default=100_000)
-    sub.add_argument("--profile", choices=PROFILE_NAMES, default=DEFAULT_PROFILE)
-    _add_common_args(sub, table=True, seed=True)
-
-    sub = subs.add_parser("mc-tube", help="Monte Carlo tube volume")
-    _add_space_args(sub)
-    sub.add_argument("--epsilon", type=float, required=True)
-    sub.add_argument("--samples", type=int, default=1_000_000)
-    _add_common_args(sub, seed=True)
-
-    sub = subs.add_parser("selftest", help="run the acceptance suite")
-    sub.add_argument("--full", action="store_true",
-                     help="full sample counts instead of the quick versions")
-    _add_common_args(sub)
-    return parser
+_SPACE = (
+    _option("--dims", type=_int_list, required=True,
+            help="comma-separated factor dims, e.g. 2,2,1,1"),
+    _option("--degrees", type=_int_list, required=True,
+            help="comma-separated factor degrees, e.g. 1,1,1,1"),
+)
+_PROFILE = _option("--profile", choices=PROFILE_NAMES, default=DEFAULT_PROFILE)
+_MINOR_MODE = _option("--minor-mode", choices=MINOR_MODES, default="corrected")
+_EPSILON = _option("--epsilon", type=float, required=True)
+_SEED = _option("--seed", type=int, default=None)
+_CSV = _option("--csv", "--out", dest="csv", metavar="PATH", default=None,
+               help="write tabular output (matrix, histogram, terms) to PATH")
 
 
 def _space(args) -> SpaceSpec:
     return SpaceSpec(args.dims, args.degrees)
 
 
-def _config_doc(args, seed=None) -> dict:
-    doc = {}
-    if getattr(args, "dims", None) is not None:
-        doc["dims"] = list(args.dims)
-    if getattr(args, "degrees", None) is not None:
-        doc["degrees"] = list(args.degrees)
-    for key in ("profile", "minor_mode", "exponent_convention", "epsilon",
-                "samples", "method", "i", "full"):
-        if getattr(args, key, None) is not None:
-            doc[key] = getattr(args, key)
-    if seed is not None:
-        doc["seed"] = seed
-    return doc
+def _profile(args):
+    return variance_profile(args.profile, args.degrees)
 
 
-def _dispatch(args, seed: int | None) -> dict:
-    if args.subcommand == "reach":
-        report = reach(_space(args))
-        return {"config": _config_doc(args), "rho1": report.rho1,
-                "rho2": report.rho2, "reach": report.reach,
-                "regime": report.regime}
+# A handler takes the parsed namespace, seed resolved, and returns the document
+# after its "config", which is read from the namespace once the handler
+# returns: an option the handler resolves in place echoes the value it used.
 
-    if args.subcommand == "curvature":
-        ext = extremal_curvature(_space(args))
-        return {"config": _config_doc(args),
-                "max": ext.max_value, "argmax_theta": list(ext.argmax),
-                "min": ext.min_value, "argmin_theta": list(ext.argmin),
-                "numeric_max": ext.numeric_max, "numeric_min": ext.numeric_min}
+def _reach(args) -> dict:
+    return asdict(reach(_space(args)))
 
-    if args.subcommand == "weingarten":
-        space = _space(args)
-        profile = variance_profile(args.profile, space.degrees)
-        mat = sample_gaussian_weingarten(space, seed, args.method, profile)
-        if args.csv:
-            mat.to_csv(args.csv)
-        return {"config": _config_doc(args, seed),
-                "matrix": [[float(x) for x in row] for row in mat.entries]}
 
-    if args.subcommand == "dd":
-        profile = variance_profile(args.profile, args.degrees)
-        problem = MatchingProblem(args.dims, args.degrees, profile)
-        return {"config": _config_doc(args),
-                "sizes": list(args.dims), "degrees": list(args.degrees),
-                "profile": args.profile,
-                "D": matching_determinant(problem),
-                "matching_count": matching_count(problem)}
+def _curvature(args) -> dict:
+    ext = extremal_curvature(_space(args))
+    return {"max": ext.max_value, "argmax_theta": list(ext.argmax),
+            "min": ext.min_value, "argmin_theta": list(ext.argmin),
+            "numeric_max": ext.numeric_max, "numeric_min": ext.numeric_min}
 
-    if args.subcommand == "minors":
-        space = _space(args)
-        profile = variance_profile(args.profile, space.degrees)
-        value = expected_minor_sum(space, args.i, profile, args.minor_mode)
-        return {"config": _config_doc(args), "i": args.i, "value": value}
 
-    if args.subcommand == "tube":
-        space = _space(args)
-        profile = variance_profile(args.profile, space.degrees)
-        report = tube_volume(space, args.epsilon, args.exponent_convention,
-                             args.minor_mode, profile)
-        if args.csv:
-            report.terms_csv(args.csv)
-        return json.loads(report.to_json()) | {"config": _config_doc(args)}
+def _weingarten(args) -> dict:
+    space = _space(args)
+    # The assembled operator has no variance profile to choose.
+    if args.method == "assemble":
+        if args.profile is not None:
+            raise argparse.ArgumentError(None, "--profile applies to --method direct only")
+        del args.profile
+        profile = None
+    else:
+        args.profile = args.profile or "weingarten"
+        profile = _profile(args)
+    mat = sample_gaussian_weingarten(space, args.seed, args.method, profile)
+    if args.csv:
+        mat.to_csv(args.csv)
+    return {"matrix": mat.entries.tolist()}
 
-    if args.subcommand == "mc-det":
-        profile = variance_profile(args.profile, args.degrees)
-        problem = MatchingProblem(args.dims, args.degrees, profile)
-        stats = mc_expected_det(problem, McConfig(args.samples, seed),
-                                output=args.csv)
-        return {"config": _config_doc(args, seed), "mean": stats.mean,
-                "std_error": stats.std_error, "samples": stats.samples,
-                "seed": stats.seed,
-                "expected": matching_determinant(problem)}
 
-    if args.subcommand == "mc-tube":
-        space = _space(args)
-        cfg = McConfig(args.samples, seed)
-        est = mc_tube_volume(space, args.epsilon, cfg)
-        return {"config": _config_doc(args, seed), "volume": est.volume,
-                "std_error": est.std_error, "fraction": est.fraction,
-                "samples": est.samples, "seed": est.seed}
+def _dd(args) -> dict:
+    problem = MatchingProblem(args.dims, args.degrees, _profile(args))
+    return {"sizes": args.dims, "degrees": args.degrees,
+            "profile": args.profile,
+            "D": matching_determinant(problem),
+            "matching_count": matching_count(problem)}
 
-    if args.subcommand == "selftest":
-        results = run_all(full=args.full)
-        for res in results:
-            print(res.line(), file=sys.stderr)
-        return {"config": _config_doc(args),
-                "mode": "full" if args.full else "quick",
-                "all_passed": all(r.passed for r in results),
-                "criteria": [{"name": r.name, "passed": r.passed,
-                              "seconds": round(r.seconds, 3),
-                              "detail": r.detail} for r in results]}
 
-    raise DomainError(f"unknown subcommand {args.subcommand!r}")
+def _minors(args) -> dict:
+    value = expected_minor_sum(_space(args), args.i, _profile(args),
+                               args.minor_mode)
+    return {"i": args.i, "value": value}
+
+
+def _tube(args) -> dict:
+    report = tube_volume(_space(args), args.epsilon, args.exponent_convention,
+                         args.minor_mode, _profile(args))
+    if args.csv:
+        report.terms_csv(args.csv)
+    return json.loads(report.to_json())
+
+
+def _mc_det(args) -> dict:
+    problem = MatchingProblem(args.dims, args.degrees, _profile(args))
+    stats = mc_expected_det(problem, McConfig(args.samples, args.seed),
+                            output=args.csv)
+    return {"mean": stats.mean, "std_error": stats.std_error,
+            "samples": stats.samples, "seed": stats.seed,
+            "expected": matching_determinant(problem)}
+
+
+def _mc_tube(args) -> dict:
+    est = mc_tube_volume(_space(args), args.epsilon, McConfig(args.samples, args.seed))
+    return {"volume": est.volume, "std_error": est.std_error,
+            "fraction": est.fraction, "samples": est.samples, "seed": est.seed}
+
+
+def _selftest(args) -> dict:
+    results = run_all(full=args.full)
+    for res in results:
+        print(res.line(), file=sys.stderr)
+    return {"mode": "full" if args.full else "quick",
+            "all_passed": all(r.passed for r in results),
+            "criteria": [{"name": r.name, "passed": r.passed,
+                          "seconds": round(r.seconds, 3),
+                          "detail": r.detail} for r in results]}
+
+
+class Subcommand(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace], dict]
+    options: tuple  # `_option` entries; every subcommand also takes --json
+
+
+SUBCOMMANDS = {
+    "reach": Subcommand("reach and its two radii", _reach, _SPACE),
+    "curvature": Subcommand("extremal curvature of curves", _curvature, _SPACE),
+    "weingarten": Subcommand("sample a random shape operator", _weingarten, (
+        *_SPACE,
+        _option("--method", choices=("assemble", "direct"), default="assemble"),
+        _option("--profile", choices=PROFILE_NAMES, default=None,
+                help="variance profile of --method direct (default: weingarten)"),
+        _SEED, _CSV)),
+    "dd": Subcommand("signed weighted matching sum", _dd, (*_SPACE, _PROFILE)),
+    "minors": Subcommand("expected principal-minor sum", _minors, (
+        *_SPACE, _option("--i", type=int, default=1), _PROFILE, _MINOR_MODE)),
+    "tube": Subcommand("tube volume around the manifold", _tube, (
+        *_SPACE, _EPSILON,
+        _option("--exponent-convention", choices=EXPONENT_CONVENTIONS,
+                default="corrected"),
+        _MINOR_MODE, _PROFILE, _CSV)),
+    "mc-det": Subcommand("Monte Carlo expected determinant", _mc_det, (
+        *_SPACE, _option("--samples", type=int, default=100_000), _PROFILE,
+        _SEED, _CSV)),
+    "mc-tube": Subcommand("Monte Carlo tube volume", _mc_tube, (
+        *_SPACE, _EPSILON, _option("--samples", type=int, default=1_000_000),
+        _SEED)),
+    "selftest": Subcommand("run the acceptance suite", _selftest, (
+        _option("--full", action="store_true",
+                help="full sample counts instead of the quick versions"),)),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="svgeom",
+                     description="metric geometry of rank-one tensor manifolds")
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    for name, entry in SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=entry.help)
+        for flags, spec in entry.options:
+            sub.add_argument(*flags, **spec)
+        sub.add_argument("--json", metavar="PATH", default=None,
+                         help="also write the JSON document to PATH")
+    return parser
+
+
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    seed = None
-    if "seed" in args:
-        seed = args.seed if args.seed is not None else _default_seed()
+    if "seed" in args and args.seed is None:
+        args.seed = _default_seed()
     try:
-        doc = _dispatch(args, seed)
+        body = SUBCOMMANDS[args.subcommand].handler(args)
+    except argparse.ArgumentError as exc:
+        print(f"svgeom {args.subcommand}: error: {exc}", file=sys.stderr)
+        return 1
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    text = json.dumps(doc, indent=2)
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("subcommand", "json", "csv")}
+    text = json.dumps({"config": config, **body}, indent=2)
     print(text)
-    if getattr(args, "json", None):
+    if args.json:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
-    if args.subcommand == "selftest" and not doc["all_passed"]:
-        return 1
-    return 0
+    return 0 if body.get("all_passed", True) else 1
 
 
 if __name__ == "__main__":

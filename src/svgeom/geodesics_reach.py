@@ -129,15 +129,15 @@ def curvature_closed_form(speeds, degrees) -> float:
 # curvature optimization on the speed sphere
 # ---------------------------------------------------------------------------
 
-def optimize_curvature(degrees, minimize: bool, support=None, starts: int = 50,
-                       seed: int = 11, tol: float = 1e-12,
-                       max_iter: int = 400) -> tuple[float, Array]:
+def optimize_curvature(degrees, minimize: bool,
+                       support=None) -> tuple[float, Array]:
     """Multi-start projected gradient search of the closed-form curvature.
 
     Extremizing the curvature is equivalent to extremizing
     q(theta) = sum theta_i^4 / d_i on the sphere (larger q means smaller
     curvature).  Starts include every coordinate axis, the uniform vector,
-    and deterministic random points, all run as one batch.
+    and deterministic random points, at least 50 in all, run as one batch
+    for at most 400 steps.
     """
     degrees = np.asarray(degrees, dtype=float)
     r = degrees.shape[0]
@@ -145,8 +145,8 @@ def optimize_curvature(degrees, minimize: bool, support=None, starts: int = 50,
     dd = degrees[idx]
     k = idx.shape[0]
 
-    rng = np.random.default_rng(seed)
-    starts = max(starts, k + 1)
+    rng = np.random.default_rng(11)
+    starts = max(50, k + 1)
     thetas = np.zeros((starts, k))
     thetas[:k] = np.eye(k)
     thetas[k] = 1.0 / math.sqrt(k)
@@ -163,7 +163,7 @@ def optimize_curvature(degrees, minimize: bool, support=None, starts: int = 50,
 
     val = q(thetas)
     step = np.full(starts, 0.25)
-    for _ in range(max_iter):
+    for _ in range(400):
         grad = 4.0 * thetas ** 3 / dd
         grad_t = grad - np.sum(grad * thetas, axis=1, keepdims=True) * thetas
         cand = thetas + direction * step[:, None] * grad_t
@@ -174,7 +174,7 @@ def optimize_curvature(degrees, minimize: bool, support=None, starts: int = 50,
         val[better] = cval[better]
         step[better] *= 1.3
         step[~better] *= 0.5
-        if np.all(step < tol):
+        if np.all(step < 1e-12):
             break
 
     best_row = int(np.argmax(val)) if minimize else int(np.argmin(val))
@@ -296,16 +296,6 @@ def bottleneck_check(space: SpaceSpec, samples: int = 100, seed: int = 5,
         "max_tangent_pairing": worst_tangent,
         "passed": worst_base <= tol and worst_tangent <= tol,
     }
-
-
-def rho2_and_bottleneck_check(space: SpaceSpec, samples: int = 100,
-                              seed: int = 5) -> float:
-    """Return pi/4 after verifying the bottleneck width on random witnesses."""
-    if samples > 0:
-        report = bottleneck_check(space, samples, seed)
-        if not report["passed"]:
-            raise DomainError(f"bottleneck verification failed: {report}")
-    return rho2(space)
 
 
 @dataclass(frozen=True)

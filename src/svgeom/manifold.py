@@ -376,11 +376,11 @@ def _maximize_factor(c: Array, n: int, d: int, ell: Array) -> Array:
 
 
 def _best_rank_one(space: SpaceSpec, points: Array, restarts: int,
-                   tol: float, max_iter: int) -> tuple[Array, list, Array]:
+                   max_iter: int) -> tuple[Array, list, Array]:
     """Alternating maximization of |<t, x>| over rank-one x (HOPM: De
     Lathauwer, De Moor and Vandewalle, SIMAX 21, 2000) for all rows t of
     points and all restarts at once.  A pair stops, converged, once a sweep
-    raises it by at most tol times the row norm.  Returns the best
+    raises it by at most 1e-12 times the row norm.  Returns the best
     restart's correlation, forms (one array per factor) and flag per row.
     """
     rows, size = points.shape[0], points.shape[0] * restarts
@@ -392,7 +392,7 @@ def _best_rank_one(space: SpaceSpec, points: Array, restarts: int,
     forms = [np.tile(f, (rows, 1)) for f in zip(*starts)]
     owner = np.repeat(np.arange(rows), restarts)
     t = points.reshape(rows, *space.factor_dims)[owner]
-    limit = tol * np.linalg.norm(points, axis=1)[owner]
+    limit = 1e-12 * np.linalg.norm(points, axis=1)[owner]
     corr, converged = np.full(size, -1.0), np.zeros(size, dtype=bool)
     active = np.arange(size)
     for _ in range(max_iter):
@@ -413,18 +413,17 @@ def _best_rank_one(space: SpaceSpec, points: Array, restarts: int,
     return corr[best], [f[best] for f in forms], converged[best]
 
 
-def rank_one_distance(f: Tensor, restarts: int = 20, tol: float = 1e-12,
-                      max_iter: int = 500) -> RankOneResult:
+def rank_one_distance(f: Tensor, max_iter: int = 500) -> RankOneResult:
     """Angular distance from a unit tensor to the rank-one manifold.
 
-    Runs the batched kernel of `max_correlation_batch` on one row;
-    `converged` is the flag of the best of its restarts.
+    Runs the batched kernel of `max_correlation_batch` on one row with 20
+    restarts; `converged` is the flag of the best of its restarts.
     """
     space = f.space
     if abs(f.norm - 1.0) > 1e-9:
         raise DomainError("rank_one_distance requires a unit tensor")
-    corr, forms, converged = _best_rank_one(space, f.coeffs[None, :],
-                                            restarts, tol, max_iter)
+    corr, forms, converged = _best_rank_one(space, f.coeffs[None, :], 20,
+                                            max_iter)
     point = SegrePoint(space, tuple(fm[0] for fm in forms))
     sign = 1 if np.dot(embed(point).coeffs, f.coeffs) >= 0 else -1
     point = SegrePoint(space, point.forms, sign).canonical()
@@ -433,7 +432,7 @@ def rank_one_distance(f: Tensor, restarts: int = 20, tol: float = 1e-12,
 
 
 def max_correlation_batch(space: SpaceSpec, points: Array,
-                          restarts: int = 8, max_iter: int = 200) -> Array:
+                          restarts: int = 8) -> Array:
     """Best rank-one correlation max |<row, x>| over unit rank-one x, per
     row of a (batch, ambient) array.  Rows are not normalized, so the result
     is degree-1 homogeneous on every path.  One factor of degree one is the
@@ -462,4 +461,4 @@ def max_correlation_batch(space: SpaceSpec, points: Array,
             mats = np.swapaxes(mats, 1, 2)
         gram = mats @ np.swapaxes(mats, 1, 2)
         return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
-    return _best_rank_one(space, points, restarts, 1e-12, max_iter)[0]
+    return _best_rank_one(space, points, restarts, 200)[0]

@@ -68,12 +68,12 @@ class Histogram:
                 fh.write(f"{float(left)!r},{float(right)!r},{int(count)}\n")
 
 
-def _make_histogram(values: np.ndarray, bins: int = 100) -> Histogram:
+def _make_histogram(values: np.ndarray) -> Histogram:
     # Heavy determinant tails would otherwise dominate the binning.
     lo, hi = np.quantile(values, [0.0005, 0.9995])
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    counts, edges = np.histogram(values, bins=bins, range=(float(lo), float(hi)))
+    counts, edges = np.histogram(values, bins=100, range=(float(lo), float(hi)))
     return Histogram(edges, counts)
 
 

@@ -57,8 +57,7 @@ def manifold_volume(space: SpaceSpec) -> float:
 # radial integrals
 # ---------------------------------------------------------------------------
 
-def _adaptive_simpson(fn, a: float, b: float, tol: float = 1e-12,
-                      max_depth: int = 50) -> float:
+def _adaptive_simpson(fn, a: float, b: float, tol: float = 1e-12) -> float:
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
@@ -68,7 +67,7 @@ def _adaptive_simpson(fn, a: float, b: float, tol: float = 1e-12,
         fl, fr = fn(xl), fn(xr)
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
+        if depth >= 50 or abs(left + right - whole) <= 15.0 * tol:
             return left + right + (left + right - whole) / 15.0
         return (rec(x0, xm, f0, fl, f1, left, depth + 1)
                 + rec(xm, x2, f1, fr, f2, right, depth + 1))

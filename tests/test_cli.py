@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import svgeom
-from svgeom.cli import build_parser, main
+import svgeom.cli
+from svgeom.cli import SUBCOMMANDS, build_parser, main
 from svgeom.weingarten import DEFAULT_PROFILE
 
 
@@ -126,6 +127,89 @@ def test_weingarten_subcommand(capsys, tmp_path):
     code2, doc2, _ = run_cli(capsys, "weingarten", "--dims", "2,1",
                              "--degrees", "1,1", "--seed", "5")
     assert doc2["matrix"] == mat
+
+
+def test_weingarten_profile_applies_to_direct_only(capsys):
+    argv = ["weingarten", "--dims", "2,1", "--degrees", "2,3", "--seed", "5"]
+    for profile in ("def-d", "corollary"):
+        code, doc, err = run_cli(capsys, *argv, "--method", "assemble",
+                                 "--profile", profile)
+        assert code == 1
+        assert doc is None
+        assert "--profile" in err
+    code, doc, _ = run_cli(capsys, *argv, "--method", "assemble")
+    assert code == 0
+    assert "profile" not in doc["config"]
+    code, doc, _ = run_cli(capsys, *argv, "--method", "direct")
+    assert doc["config"]["profile"] == "weingarten"
+    code, explicit, _ = run_cli(capsys, *argv, "--method", "direct",
+                                "--profile", "weingarten")
+    assert explicit == doc
+    code, other, _ = run_cli(capsys, *argv, "--method", "direct",
+                             "--profile", "def-d")
+    assert other["config"]["profile"] == "def-d"
+    assert other["matrix"] != doc["matrix"]
+
+
+# One small query per subcommand.  weingarten takes --method direct, the
+# method under which every one of its options is used.
+MINIMAL_ARGV = {
+    "reach": ["--dims", "1", "--degrees", "2"],
+    "curvature": ["--dims", "1", "--degrees", "2"],
+    "weingarten": ["--dims", "2,1", "--degrees", "1,2", "--method", "direct"],
+    "dd": ["--dims", "2,2", "--degrees", "1,1"],
+    "minors": ["--dims", "2,2", "--degrees", "1,1"],
+    "tube": ["--dims", "1", "--degrees", "2", "--epsilon", "0.3"],
+    "mc-det": ["--dims", "1,1", "--degrees", "1,1", "--samples", "100"],
+    "mc-tube": ["--dims", "1", "--degrees", "2", "--epsilon", "0.3",
+                "--samples", "100"],
+    "selftest": [],
+}
+
+
+def test_every_subcommand_has_a_minimal_argv():
+    assert set(MINIMAL_ARGV) == set(SUBCOMMANDS)
+    sampled = {name for name, entry in SUBCOMMANDS.items()
+               if any("--seed" in flags for flags, _ in entry.options)}
+    assert sampled == {"weingarten", "mc-det", "mc-tube"}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_config_echoes_every_option(capsys, name):
+    code, doc, _ = run_cli(capsys, name, *MINIMAL_ARGV[name])
+    assert code == 0
+    options = {spec.get("dest", flags[0][2:].replace("-", "_"))
+               for flags, spec in SUBCOMMANDS[name].options}
+    assert set(doc["config"]) == options - {"csv"}
+    assert list(doc)[0] == "config"
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    monkeypatch.delenv("SVGEOM_SEED", raising=False)
+
+    def documents():
+        docs = []
+        for name, argv in MINIMAL_ARGV.items():
+            code, doc, _ = run_cli(capsys, name, *argv)
+            assert code == 0
+            if name == "selftest":  # drop the timings
+                doc["criteria"] = [(c["name"], c["passed"])
+                                   for c in doc["criteria"]]
+            docs.append(doc)
+        return docs
+
+    assert documents() == documents()
+
+
+def test_main_does_not_rebuild_the_parser(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(svgeom.cli, "build_parser", rebuilt)
+    code, doc, _ = run_cli(capsys, "reach", "--dims", "1", "--degrees", "2")
+    assert code == 0
+    assert doc["config"] == {"dims": [1], "degrees": [2]}
+    assert main(["reach", "--dims", "1"]) == 1
 
 
 def test_mc_det_subcommand(capsys, tmp_path):

@@ -19,7 +19,6 @@ from svgeom import (
     reach,
     rho1,
     rho2,
-    rho2_and_bottleneck_check,
     veronese_embed,
 )
 from svgeom.geodesics_reach import curve_component_norms, optimize_curvature
@@ -197,8 +196,6 @@ def test_rho1_requires_degree_two():
 
 def test_rho2_constant():
     assert rho2(SpaceSpec((1,), (2,))) == math.pi / 4
-    assert rho2_and_bottleneck_check(SpaceSpec((1,), (2,)), samples=50) == \
-        math.pi / 4
 
 
 def test_bottleneck_example_v12():
