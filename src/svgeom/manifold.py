@@ -307,19 +307,77 @@ class RankOneResult:
     converged: bool
 
 
+def _quadratic_form_entries(columns: Array, n: int) -> dict:
+    """Upper-triangle entries (j, k) -> values of the symmetric matrices m
+    with value(ell) = ell^T m ell, one value per column of a (coefficients,
+    batch) array of quadratics."""
+    entries = {}
+    for rank, alpha in enumerate(multi_indices(n, 2)):
+        j, k = (i for i, a in enumerate(alpha) for _ in range(a))
+        entries[j, k] = columns[rank] / (1.0 if j == k else math.sqrt(2.0))
+    return entries
+
+
 def _quadratic_form_matrices(coeffs: Array, n: int) -> Array:
     """Symmetric matrices m with value(ell) = ell^T m ell, one per row of
     a (batch, coefficients) array of quadratics."""
     mats = np.zeros((coeffs.shape[0], n + 1, n + 1))
-    for rank, alpha in enumerate(multi_indices(n, 2)):
-        support = [j for j, a in enumerate(alpha) if a]
-        if len(support) == 1:
-            j = support[0]
-            mats[:, j, j] = coeffs[:, rank]
-        else:
-            j, k = support
-            mats[:, j, k] = mats[:, k, j] = coeffs[:, rank] / math.sqrt(2.0)
+    for (j, k), entry in _quadratic_form_entries(coeffs.T, n).items():
+        mats[:, j, k] = mats[:, k, j] = entry
     return mats
+
+
+# Sweep cap of `_top_abs_eigenvalue`, so that no input loops forever (a NaN
+# entry never meets the stopping rule).  Batches of 8,192 matrices of size
+# 3 to 5, random or with double, opposite-sign or clustered top
+# eigenvalues, converge in 2 to 6 sweeps.
+JACOBI_MAX_SWEEPS = 30
+
+
+def _top_abs_eigenvalue(a: dict, n: int) -> Array:
+    """Largest |eigenvalue| of each of a batch of symmetric n x n matrices
+    stored struct-of-arrays: a[p, q], p <= q, is the array of entry (p, q)
+    over the batch.
+
+    Cyclic Jacobi (Golub and Van Loan, Matrix Computations, section 8.5)
+    on the whole batch at once.  Each rotation zeroes a_pq with
+    t = tan(angle) = 2 a_pq / (h + copysign(hypot(h, 2 a_pq), h)),
+    h = a_qq - a_pp, the smaller root, which neither overflows nor divides
+    by a small a_pq (t = 0 when h = a_pq = 0), and updates the other
+    entries in Rutishauser's form.  The sweeps stop once the off-diagonal
+    mass of every matrix is at most (1e-16 ||A||_F)^2, or after
+    JACOBI_MAX_SWEEPS; the diagonal then holds the eigenvalues.
+    """
+    a = dict(a)  # entries are rebound, never written: the caller's stay
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    def off_mass():
+        return 2.0 * sum(a[pq] * a[pq] for pq in pairs)
+
+    limit = 1e-32 * (sum(a[p, p] * a[p, p] for p in range(n)) + off_mass())
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if np.all(off_mass() <= limit):
+            break
+        for p, q in pairs:
+            apq = a[p, q]
+            h = a[q, q] - a[p, p]
+            denom = h + np.copysign(np.hypot(h, 2.0 * apq), h)
+            t = np.divide(2.0 * apq, denom, out=np.zeros_like(denom),
+                          where=denom != 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            tau = s / (1.0 + c)
+            shift = t * apq
+            a[p, p] = a[p, p] - shift
+            a[q, q] = a[q, q] + shift
+            a[p, q] = np.zeros_like(apq)
+            for r in range(n):
+                if r != p and r != q:
+                    rp, rq = (min(r, p), max(r, p)), (min(r, q), max(r, q))
+                    g, k = a[rp], a[rq]
+                    a[rp] = g - s * (k + g * tau)
+                    a[rq] = k + s * (g - k * tau)
+    return np.max(np.abs([a[p, p] for p in range(n)]), axis=0)
 
 
 def _maximize_on_circle(c: Array, d: int, ell: Array, u: Array) -> Array:
@@ -434,31 +492,43 @@ def rank_one_distance(f: Tensor, max_iter: int = 500) -> RankOneResult:
 def max_correlation_batch(space: SpaceSpec, points: Array,
                           restarts: int = 8) -> Array:
     """Best rank-one correlation max |<row, x>| over unit rank-one x, per
-    row of a (batch, ambient) array.  Rows are not normalized, so the result
-    is degree-1 homogeneous on every path.  One factor of degree one is the
-    row norm.  One factor of degree two is the largest |eigenvalue| of the
-    quadratic form: for binary quadratics c0 x^2 + sqrt(2) c1 x y + c2 y^2
-    the closed form |c0 + c2|/2 + hypot((c0 - c2)/2, c1/sqrt(2)), else
-    `eigvalsh`.  Two degree-one factors give the top singular value of the
-    row as a matrix, the square root of the largest eigenvalue of its Gram
-    matrix on the smaller side.  Every other space runs the batched
-    alternating maximization."""
+    row of a (batch, ambient) array of finite rows.  Rows are not
+    normalized, so the result is degree-1 homogeneous on every path.  One
+    factor of degree one is the row norm.  One factor of degree two is the
+    largest |eigenvalue| of the quadratic form: for binary quadratics
+    c0 x^2 + sqrt(2) c1 x y + c2 y^2 the closed form
+    |c0 + c2|/2 + hypot((c0 - c2)/2, c1/sqrt(2)), else the Jacobi kernel
+    `_top_abs_eigenvalue`.  Two degree-one factors give the top singular
+    value of the row as a matrix, the square root of the largest eigenvalue
+    of its Gram matrix on the smaller side, from the same kernel.  Every
+    other space runs the batched alternating maximization."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != space.ambient_dim:
         raise DomainError("batch shape does not match the space")
+    if not np.all(np.isfinite(points)):
+        raise DomainError("every row of the batch must be finite")
     if space.r == 1 and space.degrees[0] == 1:
         return np.linalg.norm(points, axis=1)
-    if space.r == 1 and space.degrees[0] == 2:
-        if space.dims[0] == 1:
-            c0, c1, c2 = points.T
-            return np.abs(c0 + c2) / 2.0 + np.hypot((c0 - c2) / 2.0,
-                                                    c1 / math.sqrt(2.0))
-        mats = _quadratic_form_matrices(points, space.dims[0])
-        return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
-    if space.r == 2 and space.degrees == (1, 1):
-        mats = points.reshape(points.shape[0], *space.factor_dims)
-        if mats.shape[1] > mats.shape[2]:
-            mats = np.swapaxes(mats, 1, 2)
-        gram = mats @ np.swapaxes(mats, 1, 2)
-        return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+    if space.r == 1 and space.degrees[0] == 2 and space.dims[0] == 1:
+        c0, c1, c2 = points.T
+        return np.abs(c0 + c2) / 2.0 + np.hypot((c0 - c2) / 2.0,
+                                                c1 / math.sqrt(2.0))
+    if (space.r == 1 and space.degrees[0] == 2) or space.degrees == (1, 1):
+        # The kernel's stopping rule squares entries, so each row is scaled
+        # to largest |entry| 1 first: otherwise entries beyond about
+        # 1e+-150 underflow or overflow it.
+        scale = np.max(np.abs(points), axis=1)
+        columns = np.ascontiguousarray(
+            (points / np.where(scale > 0.0, scale, 1.0)[:, None]).T)
+        if space.r == 1:
+            n = space.dims[0]
+            return scale * _top_abs_eigenvalue(
+                _quadratic_form_entries(columns, n), n + 1)
+        x = columns.reshape(*space.factor_dims, -1)
+        if x.shape[0] > x.shape[1]:
+            x = x.swapaxes(0, 1)
+        n = x.shape[0]
+        gram = {(p, q): np.einsum("kb,kb->b", x[p], x[q])
+                for p in range(n) for q in range(p, n)}
+        return scale * np.sqrt(_top_abs_eigenvalue(gram, n))
     return _best_rank_one(space, points, restarts, 200)[0]

@@ -100,8 +100,11 @@ def criterion_reach_table(full: bool = True) -> CriterionResult:
             worst_time = max(worst_time, time.perf_counter() - t0)
             worst_err = max(worst_err, abs(report.reach - expected))
             ok = ok and report.regime == regime
-    ok = ok and worst_err <= 1e-12 and worst_time < 1e-3
-    detail = f"max error {worst_err:.2e}, max call time {worst_time * 1e3:.3f}ms"
+    fast = worst_time < 1e-3
+    ok = ok and worst_err <= 1e-12 and fast
+    # The detail holds no wall time, so that the document is reproducible.
+    speed = "every call under 1 ms" if fast else "a call took 1 ms or more"
+    detail = f"max error {worst_err:.2e}, {speed}"
     return _result("reach table", 1.0, start, ok, detail)
 
 

@@ -183,42 +183,42 @@ def gaussian_weingarten_batch(space: SpaceSpec, rng: np.random.Generator,
     return assemble_batch(space, w, g)
 
 
+@lru_cache(maxsize=128)
+def _block_sampling_plan(group_sizes: tuple, profile: VarianceProfile):
+    """Standard deviation of each upper-triangle entry (row-major) of the
+    block matrix, as a column, and the entries' flat positions in the
+    upper and mirrored (lower) triangles of an m x m matrix."""
+    group = np.repeat(np.arange(len(group_sizes)), group_sizes)
+    rows, cols = np.triu_indices(group.size)
+    off = np.array([float(v) for v in profile.within_offdiag])[group[rows]]
+    diag = np.array([float(v) for v in profile.within_diag])[group[rows]]
+    var = np.where(group[rows] != group[cols], float(profile.cross),
+                   np.where(rows == cols, diag, off))
+    return (np.sqrt(var)[:, None], rows * group.size + cols,
+            cols * group.size + rows)
+
+
 def sample_block_matrix_batch(group_sizes, profile: VarianceProfile,
                               rng: np.random.Generator, count: int) -> Array:
     """Direct sampler of the block-Gaussian symmetric matrix.
 
     Diagonal block k has off-diagonal variance within_offdiag[k] and
     diagonal variance within_diag[k]; off-diagonal blocks have iid entries
-    of variance `cross`.
+    of variance `cross`.  One draw of m(m+1)/2 x count normals fills the
+    upper triangles, one row per entry, and is mirrored into the lower
+    ones; the result is a (count, m, m) view of that (m m, count) buffer.
     """
     group_sizes = tuple(int(m) for m in group_sizes)
     if len(group_sizes) != len(profile.within_offdiag):
         raise DomainError("profile and group sizes must have equal length")
+    std, upper, lower = _block_sampling_plan(group_sizes, profile)
     m = sum(group_sizes)
-    offsets = np.concatenate(([0], np.cumsum(group_sizes)))
-    mats = np.zeros((count, m, m))
-    cross_std = math.sqrt(float(profile.cross))
-    for k, size in enumerate(group_sizes):
-        if size == 0:
-            continue
-        a, b = offsets[k], offsets[k + 1]
-        off_std = math.sqrt(float(profile.within_offdiag[k]))
-        diag_std = math.sqrt(float(profile.within_diag[k]))
-        block = rng.standard_normal((count, size, size))
-        sym = np.triu(block, 1) * off_std
-        sym = sym + np.swapaxes(sym, 1, 2)
-        diag = rng.standard_normal((count, size)) * diag_std
-        idx = np.arange(size)
-        sym[:, idx, idx] = diag
-        mats[:, a:b, a:b] = sym
-        for j in range(k + 1, len(group_sizes)):
-            c, d = offsets[j], offsets[j + 1]
-            if d == c:
-                continue
-            cross = rng.standard_normal((count, size, d - c)) * cross_std
-            mats[:, a:b, c:d] = cross
-            mats[:, c:d, a:b] = np.swapaxes(cross, 1, 2)
-    return mats
+    entries = rng.standard_normal((std.shape[0], count))
+    entries *= std
+    mats = np.empty((m * m, count))
+    mats[upper] = entries
+    mats[lower] = entries
+    return mats.reshape(m, m, count).transpose(2, 0, 1)
 
 
 def sample_gaussian_weingarten(space: SpaceSpec, seed: int,

@@ -193,8 +193,8 @@ def test_reused_parser_keeps_no_state(capsys, monkeypatch):
             code, doc, _ = run_cli(capsys, name, *argv)
             assert code == 0
             if name == "selftest":  # drop the timings
-                doc["criteria"] = [(c["name"], c["passed"])
-                                   for c in doc["criteria"]]
+                for criterion in doc["criteria"]:
+                    del criterion["seconds"]
             docs.append(doc)
         return docs
 

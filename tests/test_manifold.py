@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -28,8 +29,8 @@ from svgeom import (
     tangent_frame,
     veronese_embed,
 )
-from svgeom.bw_algebra import veronese_coeffs
-from svgeom.manifold import _quadratic_form_matrices
+from svgeom.bw_algebra import multi_indices, veronese_coeffs
+from svgeom.manifold import _quadratic_form_matrices, _top_abs_eigenvalue
 
 SMALL_SPACES = [((1,), (2,)), ((2,), (3,)), ((1, 1), (1, 1)), ((1, 1), (2, 1)),
                 ((2, 1), (1, 2))]
@@ -329,8 +330,8 @@ def test_batch_matches_generic_optimizer(dims, degrees):
 
 # One space per path of max_correlation_batch: the norm, binary-quadratic
 # and square-Gram fast paths, the kernel's degree-one, degree-two, binary
-# and higher-degree factor updates, then the eigvalsh and rectangular-Gram
-# fast paths.
+# and higher-degree factor updates, then the quadratic-form and
+# rectangular-Gram paths of the Jacobi kernel.
 PATH_SPACES = [((2,), (1,)), ((1,), (2,)), ((1, 1), (1, 1)), ((1, 1), (2, 1)),
                ((1,), (3,)), ((2,), (3,)), ((2,), (2,)), ((2, 1), (1, 1))]
 
@@ -380,6 +381,84 @@ def test_gram_top_singular_value_matches_svd(dims):
     got = max_correlation_batch(space, rows)
     want = np.linalg.svd(rows.reshape(-1, a, b), compute_uv=False)[:, 0]
     assert np.all(np.abs(got - want) <= 1e-14 * np.linalg.norm(rows, axis=1))
+
+
+def _form_coefficients(mats):
+    """Coefficient rows of the quadratic forms of symmetric matrices: the
+    inverse of `_quadratic_form_matrices`."""
+    n = mats.shape[-1] - 1
+    rows = np.empty((mats.shape[0], (n + 1) * (n + 2) // 2))
+    for rank, alpha in enumerate(multi_indices(n, 2)):
+        j, k = [i for i, a in enumerate(alpha) for _ in range(a)]
+        rows[:, rank] = mats[:, j, k] * (1.0 if j == k else math.sqrt(2.0))
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_jacobi_quadratic_form_matches_eigvalsh(n):
+    rng = np.random.default_rng(20 + n)
+    space = SpaceSpec((n,), (2,))
+    rows = rng.standard_normal((100_000, space.ambient_dim))
+    # orthogonal conjugates of diagonal matrices with a double top
+    # eigenvalue and with an opposite-sign top pair
+    q = np.linalg.qr(rng.standard_normal((2000, n + 1, n + 1)))[0]
+    lam = rng.uniform(-0.5, 0.5, (2000, n + 1))
+    lam[:1000, 1] = lam[:1000, 0] = 2.0 * np.sign(lam[:1000, 0])
+    lam[1000:, 0], lam[1000:, 1] = 2.0, -2.0
+    rows[:2000] = _form_coefficients(q * lam[:, None, :]
+                                     @ np.swapaxes(q, 1, 2))
+    # diagonal forms (every a_pq = 0) and zero rows
+    diagonal = [rank for rank, alpha in enumerate(multi_indices(n, 2))
+                if max(alpha) == 2]
+    rows[2000:3000] = 0.0
+    rows[2000:3000, diagonal] = rng.standard_normal((1000, n + 1))
+    rows[3000:3010] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = max_correlation_batch(space, rows)
+    want = np.max(np.abs(np.linalg.eigvalsh(_quadratic_form_matrices(rows, n))),
+                  axis=1)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.linalg.norm(rows, axis=1))
+    assert np.all(got[3000:3010] == 0.0)
+
+
+def test_jacobi_sweep_cap_ends_the_loop():
+    # A NaN entry never meets the stopping rule; only the cap ends the loop.
+    nan = np.array([np.nan, 1.0])
+    entries = {(0, 0): nan, (0, 1): np.ones(2), (1, 1): np.ones(2)}
+    out = []
+
+    def run():
+        with np.errstate(invalid="ignore"):
+            out.append(_top_abs_eigenvalue(entries, 2))
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30.0)
+    assert not worker.is_alive()
+    assert np.isnan(out[0][0]) and out[0][1] == pytest.approx(2.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("dims,degrees", [((2,), (2,)), ((3,), (2,)),
+                                          ((2, 1), (1, 1)), ((2, 2), (1, 1))])
+def test_jacobi_paths_are_homogeneous_at_extreme_scales(dims, degrees):
+    # Squared entries of rows this small or large underflow or overflow.
+    space = SpaceSpec(dims, degrees)
+    points = np.random.default_rng(21).standard_normal((50, space.ambient_dim))
+    base = max_correlation_batch(space, points)
+    for scale in (1e-160, 1e160):
+        got = max_correlation_batch(space, scale * points) / scale
+        assert np.all(np.abs(got - base) <= 1e-14 * base)
+
+
+@pytest.mark.parametrize("dims,degrees", PATH_SPACES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_rejects_non_finite_rows(dims, degrees, bad):
+    space = SpaceSpec(dims, degrees)
+    points = np.ones((3, space.ambient_dim))
+    points[1, -1] = bad
+    with pytest.raises(DomainError, match="finite"):
+        max_correlation_batch(space, points)
 
 
 def _circle_max(coeffs, d):

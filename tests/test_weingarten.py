@@ -197,6 +197,42 @@ def test_direct_sampler_profile_scales():
     assert abs(var - 1.5) <= 4 * 1.5 * math.sqrt(2.0 / 50_000)
 
 
+def test_direct_sampler_is_exactly_symmetric():
+    profile = variance_profile("weingarten", (2, 1, 3))
+    mats = sample_block_matrix_batch((2, 0, 3), profile,
+                                     np.random.default_rng(5), 1000)
+    assert mats.shape == (1000, 5, 5)
+    assert np.array_equal(mats, np.swapaxes(mats, 1, 2))
+
+
+@pytest.mark.parametrize("name", ["def-d", "weingarten", "corollary"])
+def test_direct_sampler_entry_variances(name):
+    profile = variance_profile(name, (2, 1, 3))
+    count = 40_000
+    mats = sample_block_matrix_batch((2, 0, 3), profile,
+                                     np.random.default_rng(6), count)
+    group = (0, 0, 2, 2, 2)
+    for i in range(5):
+        for j in range(i, 5):
+            if group[i] != group[j]:
+                want = float(profile.cross)
+            elif i == j:
+                want = float(profile.within_diag[group[i]])
+            else:
+                want = float(profile.within_offdiag[group[i]])
+            var = float(np.var(mats[:, i, j], ddof=1))
+            assert abs(var - want) <= 5 * want * math.sqrt(2.0 / count)
+
+
+def test_direct_sampler_draws_only_the_upper_triangle():
+    profile = variance_profile("corollary", (2, 1, 3))
+    rng = np.random.default_rng(7)
+    sample_block_matrix_batch((2, 0, 3), profile, rng, 300)
+    expected = np.random.default_rng(7)
+    expected.standard_normal(300 * 5 * 6 // 2)
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # principal minors
 # ---------------------------------------------------------------------------
