@@ -23,7 +23,6 @@ from .bw_algebra import (
 )
 from .errors import DomainError, ResourceError
 from .geodesics_reach import (
-    GeodesicSpec,
     ReachReport,
     bottleneck_check,
     curvature_closed_form,

@@ -184,7 +184,7 @@ def bw_inner(f: Tensor, g: Tensor) -> float:
 def angular_distance(f: Tensor, g: Tensor) -> float:
     """Geodesic distance on the unit sphere, arccos of the inner product."""
     _check_same_space(f, g)
-    if abs(f.norm - 1.0) > 1e-9 or abs(g.norm - 1.0) > 1e-9:
+    if not (abs(f.norm - 1.0) <= 1e-9 and abs(g.norm - 1.0) <= 1e-9):
         raise DomainError("angular_distance requires unit-norm tensors")
     return float(np.arccos(np.clip(np.dot(f.coeffs, g.coeffs), -1.0, 1.0)))
 

@@ -1,11 +1,13 @@
-"""Geodesics through the base point, curvature extremes, and the reach.
+"""Curves through the base point, curvature extremes, and the reach.
 
-Arc-length geodesics through the base point rotate each factor form inside a
-coordinate two-plane at angular rate theta_i / sqrt(d_i), with the speed
-vector theta constrained to the unit sphere.  The squared normal curvature
-of such a curve has the closed form 2 * sum_i (theta_i^2 - theta_i^4 / d_i),
-which this module both evaluates directly and re-derives numerically from
-central differences of the embedding.
+A curve through the base point is given by its unit tangent coordinates
+v in R^n, one block b_i of n_i coordinates per factor.  Along the curve,
+factor i turns the first coordinate axis toward the direction of b_i at
+angular rate |b_i| / sqrt(d_i), so the curve has unit speed and its
+squared normal curvature has the closed form
+2 * sum_i (theta_i^2 - theta_i^4 / d_i) in the block norms theta_i = |b_i|.
+This module evaluates the closed form directly and re-derives it from
+central differences of the embedding with the fixed step FD_STEP.
 
 The reach is the minimum of two radii: the inverse of the maximal curvature,
 and the half-width of the narrowest bottleneck, which is pi/4 because every
@@ -22,84 +24,57 @@ import numpy as np
 
 from .bw_algebra import Array, SpaceSpec, Tensor, kron_all, veronese_coeffs
 from .errors import DomainError
-from .manifold import NormalSplit, SegrePoint, base_point, embed, normal_split
+from .manifold import SegrePoint, base_point, embed, normal_split
 
 _MIN_TOTAL_DEGREE = 2
+# Step of the central second differences.
+FD_STEP = 1e-4
+# Largest pairing of a bottleneck witness with the base point or the
+# tangent space that bottleneck_check accepts.
+_BOTTLENECK_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# geodesics
+# curves through the base point
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GeodesicSpec:
-    """A curve through the base point, one rotation angle per factor.
-
-    speeds are the initial angle derivatives theta_i (their squares must sum
-    to one), accelerations the optional second derivatives.  Each factor
-    rotates toward a unit target direction orthogonal to the first
-    coordinate; the default target is the second coordinate axis.
-    """
-
-    space: SpaceSpec
-    speeds: tuple
-    accelerations: tuple | None = None
-    targets: tuple | None = None
-
-    def __post_init__(self):
-        speeds = tuple(float(s) for s in self.speeds)
-        if len(speeds) != self.space.r:
-            raise DomainError("one speed per factor is required")
-        if abs(sum(s * s for s in speeds) - 1.0) > 1e-12:
-            raise DomainError("squared speeds must sum to 1 within 1e-12")
-        object.__setattr__(self, "speeds", speeds)
-        acc = self.accelerations
-        acc = (0.0,) * self.space.r if acc is None else tuple(float(a) for a in acc)
-        if len(acc) != self.space.r:
-            raise DomainError("one acceleration per factor is required")
-        object.__setattr__(self, "accelerations", acc)
-        if self.targets is not None:
-            targets = tuple(np.asarray(t, dtype=float) for t in self.targets)
-            for t, n in zip(targets, self.space.dims):
-                if t.shape != (n + 1,):
-                    raise DomainError("target length does not match factor dims")
-                if abs(np.linalg.norm(t) - 1.0) > 1e-10 or abs(t[0]) > 1e-10:
-                    raise DomainError("targets must be unit vectors orthogonal "
-                                      "to the first coordinate axis")
-            object.__setattr__(self, "targets", targets)
-
-    def target(self, i: int) -> Array:
-        if self.targets is not None:
-            return self.targets[i]
-        t = np.zeros(self.space.dims[i] + 1)
-        t[1] = 1.0
-        return t
+def _factor_blocks(space: SpaceSpec, v) -> list:
+    """Unit tangent coordinates v, renormalized and split per factor."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (space.manifold_dim,):
+        raise DomainError("tangent coordinates have the wrong length")
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= 1e-9:
+        raise DomainError("tangent coordinates must be a unit vector within 1e-9")
+    return np.split(v / norm, np.cumsum(space.dims)[:-1])
 
 
-def geodesic_eval(g: GeodesicSpec, t: float) -> Tensor:
-    """Point of the curve at parameter t (quadratic angle truncation)."""
-    space = g.space
+def geodesic_eval(space: SpaceSpec, v, t: float) -> Tensor:
+    """Point at parameter t of the curve with unit tangent coordinates v."""
     vecs = []
-    for i, (n, d) in enumerate(zip(space.dims, space.degrees)):
-        ang = (g.speeds[i] * t + 0.5 * g.accelerations[i] * t * t) / math.sqrt(d)
-        ell = math.cos(ang) * np.eye(n + 1)[0] + math.sin(ang) * g.target(i)
+    for block, d in zip(_factor_blocks(space, v), space.degrees):
+        speed = float(np.linalg.norm(block))
+        ang = speed * t / math.sqrt(d)
+        ell = np.zeros(block.size + 1)
+        ell[0] = math.cos(ang)
+        if speed > 0:
+            ell[1:] = math.sin(ang) * (block / speed)
         vecs.append(veronese_coeffs(ell, d))
     return Tensor(space, kron_all(vecs))
 
 
-def second_derivative_fd(g: GeodesicSpec, h: float = 1e-4) -> Array:
+def second_derivative_fd(space: SpaceSpec, v) -> Array:
     """Central second difference of the curve at t = 0."""
-    plus = geodesic_eval(g, h).coeffs
-    zero = geodesic_eval(g, 0.0).coeffs
-    minus = geodesic_eval(g, -h).coeffs
-    return (plus - 2.0 * zero + minus) / (h * h)
+    plus = geodesic_eval(space, v, FD_STEP).coeffs
+    zero = geodesic_eval(space, v, 0.0).coeffs
+    minus = geodesic_eval(space, v, -FD_STEP).coeffs
+    return (plus - 2.0 * zero + minus) / (FD_STEP * FD_STEP)
 
 
-def curve_component_norms(g: GeodesicSpec, h: float = 1e-4,
-                          split: NormalSplit | None = None) -> tuple[float, float]:
+def curve_component_norms(space: SpaceSpec, v) -> tuple[float, float]:
     """(tangential, normal) norms of the numeric second derivative."""
-    split = split or normal_split(g.space)
-    acc = second_derivative_fd(g, h)
+    split = normal_split(space)
+    acc = second_derivative_fd(space, v)
     tangential_sq = float(np.dot(acc[split.tangent_indices],
                                  acc[split.tangent_indices]))
     base_sq = float(acc[split.base_index] ** 2)
@@ -107,10 +82,9 @@ def curve_component_norms(g: GeodesicSpec, h: float = 1e-4,
     return math.sqrt(tangential_sq), math.sqrt(max(normal_sq, 0.0))
 
 
-def normal_curvature_numeric(g: GeodesicSpec, h: float = 1e-4,
-                             split: NormalSplit | None = None) -> float:
+def normal_curvature_numeric(space: SpaceSpec, v) -> float:
     """Norm of the normal projection of the numeric second derivative."""
-    return curve_component_norms(g, h, split)[1]
+    return curve_component_norms(space, v)[1]
 
 
 def curvature_closed_form(speeds, degrees) -> float:
@@ -119,7 +93,7 @@ def curvature_closed_form(speeds, degrees) -> float:
     degrees = np.asarray(degrees, dtype=float)
     if speeds.shape != degrees.shape:
         raise DomainError("speeds and degrees must have equal length")
-    if abs(float(np.dot(speeds, speeds)) - 1.0) > 1e-12:
+    if not abs(float(np.dot(speeds, speeds)) - 1.0) <= 1e-12:
         raise DomainError("squared speeds must sum to 1 within 1e-12")
     t = speeds * speeds
     return math.sqrt(max(2.0 * float(np.sum(t - t * t / degrees)), 0.0))
@@ -129,8 +103,7 @@ def curvature_closed_form(speeds, degrees) -> float:
 # curvature optimization on the speed sphere
 # ---------------------------------------------------------------------------
 
-def optimize_curvature(degrees, minimize: bool,
-                       support=None) -> tuple[float, Array]:
+def optimize_curvature(degrees, minimize: bool) -> tuple[float, Array]:
     """Multi-start projected gradient search of the closed-form curvature.
 
     Extremizing the curvature is equivalent to extremizing
@@ -139,11 +112,8 @@ def optimize_curvature(degrees, minimize: bool,
     and deterministic random points, at least 50 in all, run as one batch
     for at most 400 steps.
     """
-    degrees = np.asarray(degrees, dtype=float)
-    r = degrees.shape[0]
-    idx = np.arange(r) if support is None else np.asarray(support, dtype=int)
-    dd = degrees[idx]
-    k = idx.shape[0]
+    dd = np.asarray(degrees, dtype=float)
+    k = dd.shape[0]
 
     rng = np.random.default_rng(11)
     starts = max(50, k + 1)
@@ -178,10 +148,8 @@ def optimize_curvature(degrees, minimize: bool,
             break
 
     best_row = int(np.argmax(val)) if minimize else int(np.argmin(val))
-    theta_full = np.zeros(r)
-    theta_full[idx] = np.abs(thetas[best_row])
     value = math.sqrt(max(2.0 * (1.0 - float(val[best_row])), 0.0))
-    return value, theta_full
+    return value, np.abs(thetas[best_row])
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,43 +206,34 @@ def rho2(space: SpaceSpec) -> float:
 def bottleneck_witnesses(space: SpaceSpec, samples: int, seed: int = 5):
     """Random rank-one points whose chord to the base point is normal.
 
-    Witnesses are built by forcing a set S of factors to be orthogonal to
-    the first coordinate axis.  A singleton S whose factor has degree one
-    does not produce a witness (the tangent pairing survives in that
-    factor), so such sets are avoided; any other nonempty S works and the
-    remaining factors may be arbitrary.
+    Witnesses are built by forcing a random set S of factors to be
+    orthogonal to the first coordinate axis.  A singleton S whose factor has
+    degree one does not produce a witness (the tangent pairing survives in
+    that factor), so S is redrawn until its degrees sum to at least two:
+    two factors, or one of degree at least two.  The remaining factors are
+    arbitrary.
     """
     if space.r == 1 and space.degrees[0] < 2:
         raise DomainError("a single degree-one factor has no bottlenecks")
     rng = np.random.default_rng(seed)
-    eligible_single = [i for i, d in enumerate(space.degrees) if d >= 2]
+    degrees = np.asarray(space.degrees)
     out = []
     for _ in range(samples):
-        while True:
+        mask = np.zeros(space.r, dtype=bool)
+        while degrees[mask].sum() < 2:
             mask = rng.random(space.r) < 0.5
-            chosen = [i for i in range(space.r) if mask[i]]
-            if len(chosen) >= 2:
-                break
-            if len(chosen) == 1 and chosen[0] in eligible_single:
-                break
-            if not chosen and eligible_single:
-                chosen = [int(rng.choice(eligible_single))]
-                break
-            if not eligible_single and space.r >= 2:
-                chosen = list(rng.choice(space.r, size=2, replace=False))
-                break
         forms = []
         for i, n in enumerate(space.dims):
             v = rng.standard_normal(n + 1)
-            if i in chosen:
+            if mask[i]:
                 v[0] = 0.0
             forms.append(v / np.linalg.norm(v))
         out.append(SegrePoint(space, tuple(forms), 1).canonical())
     return out
 
 
-def bottleneck_check(space: SpaceSpec, samples: int = 100, seed: int = 5,
-                     tol: float = 1e-10) -> dict:
+def bottleneck_check(space: SpaceSpec, samples: int = 100,
+                     seed: int = 5) -> dict:
     """Verify the bottleneck geometry on random witnesses.
 
     Each witness must be orthogonal to the base point (width pi/2) and its
@@ -294,7 +253,8 @@ def bottleneck_check(space: SpaceSpec, samples: int = 100, seed: int = 5,
         "samples": samples,
         "max_base_pairing": worst_base,
         "max_tangent_pairing": worst_tangent,
-        "passed": worst_base <= tol and worst_tangent <= tol,
+        "passed": worst_base <= _BOTTLENECK_TOL and
+        worst_tangent <= _BOTTLENECK_TOL,
     }
 
 

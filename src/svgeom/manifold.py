@@ -57,7 +57,7 @@ class SegrePoint:
         for f, n in zip(forms, self.space.dims):
             if f.shape != (n + 1,):
                 raise DomainError("form length does not match factor dims")
-            if abs(np.linalg.norm(f) - 1.0) > 1e-12:
+            if not abs(np.linalg.norm(f) - 1.0) <= 1e-12:
                 raise DomainError("forms must be unit vectors within 1e-12")
         if self.sign not in (-1, 1):
             raise DomainError("sign must be +1 or -1")
@@ -478,7 +478,7 @@ def rank_one_distance(f: Tensor, max_iter: int = 500) -> RankOneResult:
     restarts; `converged` is the flag of the best of its restarts.
     """
     space = f.space
-    if abs(f.norm - 1.0) > 1e-9:
+    if not abs(f.norm - 1.0) <= 1e-9:
         raise DomainError("rank_one_distance requires a unit tensor")
     corr, forms, converged = _best_rank_one(space, f.coeffs[None, :], 20,
                                             max_iter)

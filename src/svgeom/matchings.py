@@ -3,7 +3,7 @@
 A matching problem is a complete graph whose vertices fall into groups, one
 group per factor.  Edges inside group k carry the within-group weight of the
 variance profile (d_k (d_k - 1) for the default profile), edges across
-groups carry the cross weight.  The signed sum of matching weights,
+groups weigh one.  The signed sum of matching weights,
 (-1)^(m/2) * sum over perfect matchings of the product of edge weights,
 equals the expected determinant of the block-Gaussian symmetric matrix whose
 entry variances follow the same profile; a permutation-level brute force
@@ -69,10 +69,11 @@ def _canonical(groups) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _matching_sum(groups: tuple, cross: Fraction) -> Fraction:
+def _matching_sum(groups: tuple) -> Fraction:
     """Sum over perfect matchings of the product of edge weights.
 
-    Pairs one vertex of the first group within its group or across groups.
+    Pairs one vertex of the first group within its group (weight w) or
+    across groups (weight one).
     One memo, kept for the life of the process and keyed by the canonical
     groups, serves every matching sum, count, signature and minor index.
     """
@@ -81,35 +82,32 @@ def _matching_sum(groups: tuple, cross: Fraction) -> Fraction:
     (c, w), rest = groups[0], groups[1:]
     total = Fraction(0)
     if c > 1 and w:
-        total += (c - 1) * w * _matching_sum(
-            _canonical(((c - 2, w),) + rest), cross)
-    if cross:
-        for h, (n, v) in enumerate(rest):
-            nxt = ((c - 1, w),) + rest[:h] + ((n - 1, v),) + rest[h + 1:]
-            total += n * cross * _matching_sum(_canonical(nxt), cross)
+        total += (c - 1) * w * _matching_sum(_canonical(((c - 2, w),) + rest))
+    for h, (n, v) in enumerate(rest):
+        nxt = ((c - 1, w),) + rest[:h] + ((n - 1, v),) + rest[h + 1:]
+        total += n * _matching_sum(_canonical(nxt))
     return total
 
 
-def _perfect_matchings(p: MatchingProblem, within, cross) -> Fraction:
+def _perfect_matchings(p: MatchingProblem, within) -> Fraction:
     if p.m > MATCHING_VERTEX_CAP:
         raise ResourceError(f"matching sums capped at {MATCHING_VERTEX_CAP} vertices")
     if p.m % 2:
         return Fraction(0)
-    return _matching_sum(_canonical(zip(p.group_sizes, within)), cross)
+    return _matching_sum(_canonical(zip(p.group_sizes, within)))
 
 
 def weighted_matching_sum(p: MatchingProblem) -> Fraction:
     """Exact weighted count of perfect matchings; zero when m is odd."""
     profile = p.resolved_profile()
-    return _perfect_matchings(p, profile.within_offdiag, profile.cross)
+    return _perfect_matchings(p, profile.within_offdiag)
 
 
 def matching_count(p: MatchingProblem) -> int:
     """Number of perfect matchings whose weight is nonzero."""
     profile = p.resolved_profile()
     return int(_perfect_matchings(
-        p, [Fraction(1 if w else 0) for w in profile.within_offdiag],
-        Fraction(1 if profile.cross else 0)))
+        p, [Fraction(1 if w else 0) for w in profile.within_offdiag]))
 
 
 def _edge_weight(p: MatchingProblem):
@@ -120,7 +118,7 @@ def _edge_weight(p: MatchingProblem):
     def weight(u: int, v: int) -> Fraction:
         if groups[u] == groups[v]:
             return profile.within_offdiag[groups[u]]
-        return profile.cross
+        return Fraction(1)
 
     return weight
 

@@ -154,7 +154,7 @@ def criterion_weingarten_oracle(full: bool = True) -> CriterionResult:
             coeffs[split.base_index] = 0.0
             coeffs[split.tangent_indices] = 0.0
             normal = Tensor(space, coeffs / np.linalg.norm(coeffs))
-            lhs = second_fundamental_form_fd(space, v, normal, h=1e-4)
+            lhs = second_fundamental_form_fd(space, v, normal)
             mat = assemble_weingarten(normal, split).entries
             rhs = float(v @ mat @ v)
             worst = max(worst, abs(lhs - rhs))

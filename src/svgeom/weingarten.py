@@ -26,7 +26,7 @@ import numpy as np
 
 from .bw_algebra import Array, SpaceSpec, Tensor
 from .errors import DomainError
-from .geodesics_reach import GeodesicSpec, second_derivative_fd
+from .geodesics_reach import second_derivative_fd
 from .manifold import NormalSplit, normal_split, project_components
 
 
@@ -36,24 +36,21 @@ class VarianceProfile:
 
     within_offdiag[k] is the variance of off-diagonal entries inside the
     k-th diagonal block (it doubles as the within-group edge weight of the
-    matching combinatorics), within_diag[k] the variance of its diagonal
-    entries, cross the variance of entries in off-diagonal blocks.  Values
-    are converted to exact rationals on construction (floats exactly), so
-    the matching sums stay exact and float(value) is the value given.
+    matching combinatorics).  The matrix keeps the GOE shape: the diagonal
+    entries of block k have variance 2 within_offdiag[k], and the entries
+    of off-diagonal blocks variance one.  Values are converted to exact
+    rationals on construction (floats exactly), so the matching sums stay
+    exact and float(value) is the value given.
     """
 
     name: str
     within_offdiag: tuple
-    within_diag: tuple
-    cross: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if any(v < 0 for v in self.within_offdiag) or \
-           any(v < 0 for v in self.within_diag) or self.cross < 0:
+        if any(v < 0 for v in self.within_offdiag):
             raise DomainError("variances must be nonnegative")
-        for key in ("within_offdiag", "within_diag"):
-            object.__setattr__(self, key, tuple(map(Fraction, getattr(self, key))))
-        object.__setattr__(self, "cross", Fraction(self.cross))
+        object.__setattr__(self, "within_offdiag",
+                           tuple(map(Fraction, self.within_offdiag)))
 
 
 # Profile name -> within-block off-diagonal variance for a factor of degree d.
@@ -79,8 +76,8 @@ def variance_profile(name: str, degrees) -> VarianceProfile:
     """
     if name not in _WITHIN_VARIANCE:
         raise DomainError(f"unknown profile {name!r}; choose from {PROFILE_NAMES}")
-    off = tuple(_WITHIN_VARIANCE[name](int(d)) for d in degrees)
-    return VarianceProfile(name, off, tuple(2 * v for v in off))
+    return VarianceProfile(name, tuple(_WITHIN_VARIANCE[name](int(d))
+                                       for d in degrees))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +188,8 @@ def _block_sampling_plan(group_sizes: tuple, profile: VarianceProfile):
     group = np.repeat(np.arange(len(group_sizes)), group_sizes)
     rows, cols = np.triu_indices(group.size)
     off = np.array([float(v) for v in profile.within_offdiag])[group[rows]]
-    diag = np.array([float(v) for v in profile.within_diag])[group[rows]]
-    var = np.where(group[rows] != group[cols], float(profile.cross),
-                   np.where(rows == cols, diag, off))
+    var = np.where(group[rows] != group[cols], 1.0,
+                   np.where(rows == cols, 2.0 * off, off))
     return (np.sqrt(var)[:, None], rows * group.size + cols,
             cols * group.size + rows)
 
@@ -203,8 +199,8 @@ def sample_block_matrix_batch(group_sizes, profile: VarianceProfile,
     """Direct sampler of the block-Gaussian symmetric matrix.
 
     Diagonal block k has off-diagonal variance within_offdiag[k] and
-    diagonal variance within_diag[k]; off-diagonal blocks have iid entries
-    of variance `cross`.  One draw of m(m+1)/2 x count normals fills the
+    diagonal variance twice that; off-diagonal blocks have iid entries of
+    variance one.  One draw of m(m+1)/2 x count normals fills the
     upper triangles, one row per entry, and is mirrored into the lower
     ones; the result is a (count, m, m) view of that (m m, count) buffer.
     """
@@ -310,35 +306,14 @@ def principal_minor_sums_batch(mats: Array, k: int) -> Array:
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def second_fundamental_form_fd(space: SpaceSpec, v, normal: Tensor,
-                               h: float = 1e-4) -> float:
+def second_fundamental_form_fd(space: SpaceSpec, v, normal: Tensor) -> float:
     """Pairing of the curve acceleration with a normal direction.
 
-    Builds the arc-length curve through the base point with tangent
-    coordinates v, takes the central second difference of the embedding,
-    and pairs it with the normal tensor.  Equals v^T L v for the assembled
+    Takes the central second difference of the embedded curve through the
+    base point with unit tangent coordinates v (`second_derivative_fd`) and
+    pairs it with the normal tensor.  Equals v^T L v for the assembled
     operator L of that normal direction.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (space.manifold_dim,):
-        raise DomainError("tangent coordinates have the wrong length")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise DomainError("tangent coordinates must be a unit vector")
     if normal.space != space:
         raise DomainError("normal tensor lives in a different space")
-    v = v / np.linalg.norm(v)
-    speeds, targets = [], []
-    pos = 0
-    for n in space.dims:
-        block = v[pos: pos + n]
-        pos += n
-        theta = float(np.linalg.norm(block))
-        speeds.append(theta)
-        target = np.zeros(n + 1)
-        if theta > 0:
-            target[1:] = block / theta
-        else:
-            target[1] = 1.0
-        targets.append(target)
-    spec = GeodesicSpec(space, tuple(speeds), targets=tuple(targets))
-    return float(np.dot(second_derivative_fd(spec, h), normal.coeffs))
+    return float(np.dot(second_derivative_fd(space, v), normal.coeffs))

@@ -7,7 +7,6 @@ import pytest
 
 from svgeom import (
     DomainError,
-    GeodesicSpec,
     SpaceSpec,
     bottleneck_check,
     bw_inner,
@@ -31,29 +30,31 @@ from svgeom.manifold import base_point
 
 def test_geodesic_starts_at_base_point():
     space = SpaceSpec((1, 1), (2, 3))
-    g = GeodesicSpec(space, (0.6, 0.8))
-    assert np.allclose(geodesic_eval(g, 0.0).coeffs,
+    assert np.allclose(geodesic_eval(space, [0.6, 0.8], 0.0).coeffs,
                        embed(base_point(space)).coeffs, atol=1e-15)
 
 
 def test_geodesic_reaches_rotated_power():
     space = SpaceSpec((1,), (2,))
-    g = GeodesicSpec(space, (1.0,))
-    got = geodesic_eval(g, math.pi * math.sqrt(2) / 2)
+    got = geodesic_eval(space, [1.0], math.pi * math.sqrt(2) / 2)
     assert np.allclose(got.coeffs, [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_geodesic_unit_speed():
     space = SpaceSpec((1, 1), (2, 3))
-    g = GeodesicSpec(space, (0.6, 0.8))
+    v = [0.6, 0.8]
     h = 1e-5
-    vel = (geodesic_eval(g, h).coeffs - geodesic_eval(g, -h).coeffs) / (2 * h)
+    vel = (geodesic_eval(space, v, h).coeffs -
+           geodesic_eval(space, v, -h).coeffs) / (2 * h)
     assert abs(np.linalg.norm(vel) - 1.0) <= 1e-8
 
 
 def test_geodesic_requires_unit_speed_vector():
-    with pytest.raises(DomainError):
-        GeodesicSpec(SpaceSpec((1,), (2,)), (0.5,))
+    # A non-unit v, a v of the wrong length and a NaN v.
+    space = SpaceSpec((1, 1), (2, 3))
+    for v in ([0.5, 0.0], [1.0], [math.nan, 1.0]):
+        with pytest.raises(DomainError):
+            geodesic_eval(space, v, 0.1)
 
 
 def test_constant_speed_curves_have_no_tangential_acceleration():
@@ -62,21 +63,24 @@ def test_constant_speed_curves_have_no_tangential_acceleration():
     for _ in range(10):
         theta = rng.standard_normal(space.r)
         theta /= np.linalg.norm(theta)
-        g = GeodesicSpec(space, tuple(theta))
-        tangential, _ = curve_component_norms(g, h=1e-4)
+        tangential, _ = curve_component_norms(space, theta)
         assert tangential <= 1e-6
 
 
-def test_nonzero_acceleration_shows_in_tangential_part():
-    # Second-order arc length alone does not make the curve a geodesic:
-    # the tangential acceleration equals the norm of the accelerations.
-    space = SpaceSpec((1, 1), (1, 1))
-    theta = (1 / math.sqrt(2), 1 / math.sqrt(2))
-    acc = (1 / math.sqrt(2), -1 / math.sqrt(2))
-    assert abs(sum(t * a for t, a in zip(theta, acc))) < 1e-15
-    g = GeodesicSpec(space, theta, accelerations=acc)
-    tangential, _ = curve_component_norms(g, h=1e-4)
-    assert tangential == pytest.approx(1.0, abs=1e-5)
+@pytest.mark.parametrize("dims,degrees", [((2, 3), (2, 1)), ((3, 2), (3, 2)),
+                                          ((2, 1, 2), (1, 2, 1))])
+def test_tangent_coordinate_curves_have_no_tangential_acceleration(dims,
+                                                                   degrees):
+    # Blocks pointing off the first axes of their factors, and one zero
+    # block, still give curves with no tangential acceleration.
+    space = SpaceSpec(dims, degrees)
+    rng = np.random.default_rng(34)
+    draws = [rng.standard_normal(space.manifold_dim) for _ in range(5)]
+    zero_block = rng.standard_normal(space.manifold_dim)
+    zero_block[:dims[0]] = 0.0
+    for v in draws + [zero_block]:
+        tangential, _ = curve_component_norms(space, v / np.linalg.norm(v))
+        assert tangential <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +89,9 @@ def test_nonzero_acceleration_shows_in_tangential_part():
 
 def test_numeric_curvature_examples():
     assert normal_curvature_numeric(
-        GeodesicSpec(SpaceSpec((1,), (2,)), (1.0,))) == pytest.approx(1.0, abs=1e-6)
+        SpaceSpec((1,), (2,)), [1.0]) == pytest.approx(1.0, abs=1e-6)
     assert normal_curvature_numeric(
-        GeodesicSpec(SpaceSpec((1, 1), (1, 1)), (1.0, 0.0))) == pytest.approx(
-            0.0, abs=1e-6)
+        SpaceSpec((1, 1), (1, 1)), [1.0, 0.0]) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_numeric_matches_closed_form():
@@ -100,8 +103,8 @@ def test_numeric_matches_closed_form():
         space = SpaceSpec(dims, degrees)
         theta = rng.standard_normal(r)
         theta /= np.linalg.norm(theta)
-        g = GeodesicSpec(space, tuple(theta))
-        assert normal_curvature_numeric(g) == pytest.approx(
+        v = np.concatenate([t * np.eye(n)[0] for n, t in zip(dims, theta)])
+        assert normal_curvature_numeric(space, v) == pytest.approx(
             curvature_closed_form(theta, degrees), abs=1e-6)
 
 
@@ -155,14 +158,13 @@ def test_subset_support_critical_values():
     degrees = (1, 2, 3, 1)
     for size in range(1, 5):
         for support in itertools.combinations(range(4), size):
-            d_subset = sum(degrees[i] for i in support)
-            vmax, _ = optimize_curvature(degrees, minimize=False,
-                                         support=support)
+            sub = tuple(degrees[i] for i in support)
+            d_subset = sum(sub)
+            vmax, _ = optimize_curvature(sub, minimize=False)
             assert vmax == pytest.approx(
                 math.sqrt(2 * (d_subset - 1) / d_subset), abs=1e-9)
-            d_low = min(degrees[i] for i in support)
-            vmin, _ = optimize_curvature(degrees, minimize=True,
-                                         support=support)
+            d_low = min(sub)
+            vmin, _ = optimize_curvature(sub, minimize=True)
             assert vmin == pytest.approx(
                 math.sqrt(2 * (d_low - 1) / d_low), abs=1e-9)
 
@@ -241,10 +243,11 @@ def test_reach_report_json():
 
 
 def test_geodesic_custom_targets():
+    # The factor turns toward the direction of its block, (0, 0.6, 0.8).
     space = SpaceSpec((2,), (2,))
-    target = np.array([0.0, 0.6, 0.8])
-    g = GeodesicSpec(space, (1.0,), targets=(target,))
-    point = geodesic_eval(g, 0.3)
+    point = geodesic_eval(space, [0.6, 0.8], 0.3)
     assert abs(point.norm - 1.0) <= 1e-12
-    with pytest.raises(DomainError):
-        GeodesicSpec(space, (1.0,), targets=(np.array([1.0, 0.0, 0.0]),))
+    ang = 0.3 / math.sqrt(2)
+    ell = (math.cos(ang), 0.6 * math.sin(ang), 0.8 * math.sin(ang))
+    assert np.allclose(point.coeffs, veronese_embed(ell, 2).coeffs,
+                       atol=1e-15)

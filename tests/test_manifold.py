@@ -17,6 +17,7 @@ from svgeom import (
     apply_orthogonal,
     base_point,
     bw_inner,
+    curvature_closed_form,
     embed,
     evaluate,
     gaussian_tensor,
@@ -549,3 +550,26 @@ def test_flat_complement_membership():
     flat[-1] = 1.0  # drops the leading exponent by three
     assert split.in_flat_complement(Tensor(space, flat))
     assert not split.in_flat_complement(split.w_basis[0])
+
+
+def _nan_tensor(space):
+    coeffs = np.zeros(space.ambient_dim)
+    coeffs[0] = math.nan
+    return Tensor(space, coeffs)
+
+
+_NAN_CALLS = {
+    "rank_one_distance": lambda: rank_one_distance(
+        _nan_tensor(SpaceSpec((1, 1), (2, 1)))),
+    "angular_distance": lambda: angular_distance(
+        _nan_tensor(SpaceSpec((1,), (2,))), embed(base_point(SpaceSpec((1,), (2,))))),
+    "curvature_closed_form": lambda: curvature_closed_form([math.nan], [2]),
+    "SegrePoint": lambda: SegrePoint(SpaceSpec((1,), (2,)), ([math.nan, 1.0],)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_CALLS))
+def test_unit_norm_checks_reject_nan(name):
+    # abs(nan - 1) > tol is False, so each check is written to fail on NaN.
+    with pytest.raises(DomainError):
+        _NAN_CALLS[name]()

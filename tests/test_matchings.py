@@ -54,7 +54,7 @@ def test_odd_total_is_zero():
 
 def test_unit_weights_give_double_factorial():
     for m in (2, 4, 6, 8):
-        profile = VarianceProfile("unit", (Fraction(1),), (Fraction(2),))
+        profile = VarianceProfile("unit", (Fraction(1),))
         p = MatchingProblem((m,), (2,), profile)
         expected = math.prod(range(1, m, 2))
         assert weighted_matching_sum(p) == expected
@@ -64,8 +64,8 @@ def test_float_weights_do_not_leak_into_exact_sums():
     # The matching memo is shared across calls; a float profile must not
     # hand its float result to the equal-valued exact profile.
     sizes, degrees = (3, 3), (2, 2)
-    floats = VarianceProfile("float", (0.5, 0.5), (1.0, 1.0), 1.0)
-    exact = VarianceProfile("exact", (Fraction(1, 2),) * 2, (Fraction(1),) * 2)
+    floats = VarianceProfile("float", (0.5, 0.5))
+    exact = VarianceProfile("exact", (Fraction(1, 2),) * 2)
     weighted_matching_sum(MatchingProblem(sizes, degrees, floats))
     total = weighted_matching_sum(MatchingProblem(sizes, degrees, exact))
     assert type(total) is Fraction
@@ -178,7 +178,7 @@ def test_minor_sum_range_checks():
 
 def test_profiles_reject_negative_variance():
     with pytest.raises(DomainError):
-        VarianceProfile("bad", (Fraction(-1),), (Fraction(1),))
+        VarianceProfile("bad", (Fraction(-1),))
     with pytest.raises(DomainError):
         variance_profile("nope", (2,))
 
@@ -313,7 +313,7 @@ def test_orbit_walk_evaluates_one_determinant_per_orbit(monkeypatch):
 def test_many_alternating_factors():
     # Twelve two-dim factors in two classes; the ordered walk took 10-13 s
     # over all orders.  Order 1 pairs two vertices of one factor
-    # (weight w_k) or of two factors (the cross weight x); order 12 is the
+    # (weight w_k) or of two factors (weight one); order 12 is the
     # single signature dims, with multiplicity one.
     space = SpaceSpec((2,) * 12, (1, 2) * 6)
     profile = variance_profile("weingarten", space.degrees)
@@ -321,7 +321,7 @@ def test_many_alternating_factors():
                  for nk, wk in zip(space.dims, profile.within_offdiag))
     across = sum(a * b for a, b in itertools.combinations(space.dims, 2))
     assert expected_minor_sum_exact(space, 1, profile) == \
-        -(within + profile.cross * across)
+        -(within + across)
     assert expected_minor_sum_exact(space, 12, profile) == \
         matching_determinant_exact(MatchingProblem(space.dims, space.degrees,
                                                    profile))
