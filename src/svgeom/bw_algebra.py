@@ -253,6 +253,9 @@ def monomials_to_coeffs(mono: dict[tuple[int, ...], float], n: int, d: int) -> A
 def veronese_coeffs(ell, d: int) -> Array:
     """Orthonormal-basis coordinates of d-th powers of the forms in ell[..., :]."""
     ell = np.asarray(ell, dtype=float)
+    if d == 1:
+        # The exponent matrix is the identity and every multinomial is one.
+        return ell.copy()
     n = ell.shape[-1] - 1
     powers = np.prod(ell[..., None, :] ** exponent_matrix(n, d), axis=-1)
     return sqrt_multinomials(n, d) * powers

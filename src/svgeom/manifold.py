@@ -433,6 +433,19 @@ def _maximize_factor(c: Array, n: int, d: int, ell: Array) -> Array:
     return _maximize_on_circle(c, d, ell, frame[:, :, 1])
 
 
+@lru_cache(maxsize=128)
+def _restart_forms(dims: tuple, restarts: int) -> tuple[Array, ...]:
+    """Start forms of `_best_rank_one`, one read-only (restarts, n + 1)
+    array per factor: restart s draws its unit forms, factor by factor,
+    from default_rng([7690, s])."""
+    rngs = [np.random.default_rng([7690, s]) for s in range(restarts)]
+    starts = [[_unit(g.standard_normal(n + 1)) for n in dims] for g in rngs]
+    forms = tuple(np.array(f) for f in zip(*starts))
+    for f in forms:
+        f.setflags(write=False)
+    return forms
+
+
 def _best_rank_one(space: SpaceSpec, points: Array, restarts: int,
                    max_iter: int) -> tuple[Array, list, Array]:
     """Alternating maximization of |<t, x>| over rank-one x (HOPM: De
@@ -445,9 +458,8 @@ def _best_rank_one(space: SpaceSpec, points: Array, restarts: int,
     letters = "abcdefghijklmnopqrstuvwxyz"[:space.r]
     specs = [",".join(["Z" + letters] + ["Z" + o for o in letters if o != x])
              + "->Z" + x for x in letters]
-    rngs = [np.random.default_rng([7690, s]) for s in range(restarts)]
-    starts = [[_unit(g.standard_normal(n + 1)) for n in space.dims] for g in rngs]
-    forms = [np.tile(f, (rows, 1)) for f in zip(*starts)]
+    forms = [np.tile(f, (rows, 1))
+             for f in _restart_forms(space.dims, restarts)]
     owner = np.repeat(np.arange(rows), restarts)
     t = points.reshape(rows, *space.factor_dims)[owner]
     limit = 1e-12 * np.linalg.norm(points, axis=1)[owner]
@@ -474,8 +486,9 @@ def _best_rank_one(space: SpaceSpec, points: Array, restarts: int,
 def rank_one_distance(f: Tensor, max_iter: int = 500) -> RankOneResult:
     """Angular distance from a unit tensor to the rank-one manifold.
 
-    Runs the batched kernel of `max_correlation_batch` on one row with 20
-    restarts; `converged` is the flag of the best of its restarts.
+    Runs the batched alternating maximization `_best_rank_one` on one row
+    with 20 restarts, on every space; `converged` is the flag of the best
+    of its restarts.
     """
     space = f.space
     if not abs(f.norm - 1.0) <= 1e-9:
@@ -489,46 +502,103 @@ def rank_one_distance(f: Tensor, max_iter: int = 500) -> RankOneResult:
     return RankOneResult(math.acos(min(corr, 1.0)), point, corr, bool(converged[0]))
 
 
-def max_correlation_batch(space: SpaceSpec, points: Array,
-                          restarts: int = 8) -> Array:
+def _circle_maximizer(c: Array, d: int) -> Array:
+    """Global maximizer x of |<c, veronese(x, d)>| on the unit circle, per
+    row of a (batch, d + 1) array of binary d-forms."""
+    ell = np.broadcast_to([1.0, 0.0], c.shape[:1] + (2,))
+    u = np.broadcast_to([0.0, 1.0], c.shape[:1] + (2,))
+    return _maximize_on_circle(c, d, ell, u)
+
+
+def _binary_times_linear(t: Array, d: int) -> Array:
+    """max <t, veronese(x, d) (x) y> over unit x in R^2 and unit y, for
+    each (d + 1, m + 1) matrix t of a batch.
+
+    For fixed x the best y gives ||t^T veronese(x, d)||, whose square is
+    the nonnegative binary 2d-form g = sum_b p_b^2 of the columns p_b of t.
+    In monomial coordinates m = t * sqrt_multinomials(1, d), the
+    coefficient of x_0^(2d-k) x_1^k in g sums the antidiagonal a + c = k
+    of m m^T.  The norm is then taken at the maximizer of g, the value a
+    rank-one point attains.
+    """
+    mono = t * sqrt_multinomials(1, d)[:, None]
+    gram = np.einsum("mab,mcb->mac", mono, mono)
+    g = np.zeros((t.shape[0], 2 * d + 1))
+    for a in range(d + 1):
+        g[:, a:a + d + 1] += gram[:, a]
+    x = _circle_maximizer(g / sqrt_multinomials(1, 2 * d), 2 * d)
+    return np.linalg.norm(np.einsum("mab,ma->mb", t, veronese_coeffs(x, d)),
+                          axis=1)
+
+
+# Restarts of the alternating maximization in `max_correlation_batch`.
+BATCH_RESTARTS = 8
+
+
+def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
     """Best rank-one correlation max |<row, x>| over unit rank-one x, per
     row of a (batch, ambient) array of finite rows.  Rows are not
-    normalized, so the result is degree-1 homogeneous on every path.  One
-    factor of degree one is the row norm.  One factor of degree two is the
-    largest |eigenvalue| of the quadratic form: for binary quadratics
-    c0 x^2 + sqrt(2) c1 x y + c2 y^2 the closed form
-    |c0 + c2|/2 + hypot((c0 - c2)/2, c1/sqrt(2)), else the Jacobi kernel
-    `_top_abs_eigenvalue`.  Two degree-one factors give the top singular
-    value of the row as a matrix, the square root of the largest eigenvalue
-    of its Gram matrix on the smaller side, from the same kernel.  Every
-    other space runs the batched alternating maximization."""
+    normalized, so the result is degree-1 homogeneous on every path.
+
+    - One factor of degree one: the row norm.
+    - One factor of degree two: the largest |eigenvalue| of the quadratic
+      form.  For binary quadratics c0 x^2 + sqrt(2) c1 x y + c2 y^2 it is
+      the closed form |c0 + c2|/2 + hypot((c0 - c2)/2, c1/sqrt(2)), else
+      the Jacobi kernel `_top_abs_eigenvalue`.
+    - Two degree-one factors: the top singular value of the row as a
+      matrix, the square root of the largest eigenvalue of its Gram matrix
+      on the smaller side, from the same kernel.
+    - One binary factor of degree three or more: |p| at the global
+      maximizer `_maximize_on_circle` finds on the whole circle.
+    - A binary factor of degree two or more and a degree-one factor, in
+      either order: the linear factor is eliminated, which leaves one
+      binary form of twice the degree on the circle
+      (`_binary_times_linear`).
+
+    Every other space runs the batched alternating maximization with
+    BATCH_RESTARTS restarts, which can end at a local maximum."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != space.ambient_dim:
         raise DomainError("batch shape does not match the space")
     if not np.all(np.isfinite(points)):
         raise DomainError("every row of the batch must be finite")
-    if space.r == 1 and space.degrees[0] == 1:
+    dims, degrees = space.dims, space.degrees
+    if space.r == 1 and degrees[0] == 1:
         return np.linalg.norm(points, axis=1)
-    if space.r == 1 and space.degrees[0] == 2 and space.dims[0] == 1:
+    if space.r == 1 and degrees[0] == 2 and dims[0] == 1:
         c0, c1, c2 = points.T
         return np.abs(c0 + c2) / 2.0 + np.hypot((c0 - c2) / 2.0,
                                                 c1 / math.sqrt(2.0))
-    if (space.r == 1 and space.degrees[0] == 2) or space.degrees == (1, 1):
-        # The kernel's stopping rule squares entries, so each row is scaled
-        # to largest |entry| 1 first: otherwise entries beyond about
-        # 1e+-150 underflow or overflow it.
-        scale = np.max(np.abs(points), axis=1)
-        columns = np.ascontiguousarray(
-            (points / np.where(scale > 0.0, scale, 1.0)[:, None]).T)
-        if space.r == 1:
-            n = space.dims[0]
-            return scale * _top_abs_eigenvalue(
-                _quadratic_form_entries(columns, n), n + 1)
-        x = columns.reshape(*space.factor_dims, -1)
-        if x.shape[0] > x.shape[1]:
-            x = x.swapaxes(0, 1)
-        n = x.shape[0]
-        gram = {(p, q): np.einsum("kb,kb->b", x[p], x[q])
-                for p in range(n) for q in range(p, n)}
-        return scale * np.sqrt(_top_abs_eigenvalue(gram, n))
-    return _best_rank_one(space, points, restarts, 200)[0]
+    quadratic = space.r == 1 and degrees[0] == 2
+    binary = dims == (1,)
+    linear = degrees.index(1) if space.r == 2 and 1 in degrees else None
+    binary_linear = (linear is not None and dims[1 - linear] == 1
+                     and degrees[1 - linear] >= 2)
+    if not (quadratic or binary or binary_linear or degrees == (1, 1)):
+        return _best_rank_one(space, points, BATCH_RESTARTS, 200)[0]
+    # The exact kernels square entries (Jacobi's stopping rule, the Gram
+    # matrices) or raise them to the degree, so each row is scaled to
+    # largest |entry| 1 first: otherwise entries beyond about 1e+-150
+    # underflow or overflow them.
+    scale = np.max(np.abs(points), axis=1, initial=0.0)
+    unit = points / np.where(scale > 0.0, scale, 1.0)[:, None]
+    if quadratic:
+        n = dims[0]
+        return scale * _top_abs_eigenvalue(
+            _quadratic_form_entries(np.ascontiguousarray(unit.T), n), n + 1)
+    if binary:
+        x = _circle_maximizer(unit, degrees[0])
+        return scale * np.abs(np.einsum("ma,ma->m", unit,
+                                        veronese_coeffs(x, degrees[0])))
+    if binary_linear:
+        t = unit.reshape(-1, *space.factor_dims)
+        if linear == 0:
+            t = t.swapaxes(1, 2)
+        return scale * _binary_times_linear(t, degrees[1 - linear])
+    x = np.ascontiguousarray(unit.T).reshape(*space.factor_dims, -1)
+    if x.shape[0] > x.shape[1]:
+        x = x.swapaxes(0, 1)
+    n = x.shape[0]
+    gram = {(p, q): np.einsum("kb,kb->b", x[p], x[q])
+            for p in range(n) for q in range(p, n)}
+    return scale * np.sqrt(_top_abs_eigenvalue(gram, n))

@@ -31,7 +31,11 @@ from svgeom import (
     veronese_embed,
 )
 from svgeom.bw_algebra import multi_indices, veronese_coeffs
-from svgeom.manifold import _quadratic_form_matrices, _top_abs_eigenvalue
+from svgeom.manifold import (
+    _best_rank_one,
+    _quadratic_form_matrices,
+    _top_abs_eigenvalue,
+)
 
 SMALL_SPACES = [((1,), (2,)), ((2,), (3,)), ((1, 1), (1, 1)), ((1, 1), (2, 1)),
                 ((2, 1), (1, 2))]
@@ -329,12 +333,20 @@ def test_batch_matches_generic_optimizer(dims, degrees):
         assert res.correlation == pytest.approx(float(expected), abs=1e-8)
 
 
+# Spaces whose correlation is one binary form on the circle: one binary
+# factor, or a binary factor times a degree-one factor in either order.
+BINARY_SPACES = [((1,), (3,)), ((1,), (5,)), ((1, 1), (2, 1)),
+                 ((1, 2), (3, 1)), ((3, 1), (1, 4))]
+
 # One space per path of max_correlation_batch: the norm, binary-quadratic
-# and square-Gram fast paths, the kernel's degree-one, degree-two, binary
-# and higher-degree factor updates, then the quadratic-form and
-# rectangular-Gram paths of the Jacobi kernel.
+# and square-Gram paths, the binary-times-linear and binary-form paths, the
+# kernel's higher-degree factor update, the quadratic-form and
+# rectangular-Gram paths of the Jacobi kernel, then the kernel's degree-one,
+# degree-two and binary factor updates and the binary-times-linear path
+# with the linear factor first.
 PATH_SPACES = [((2,), (1,)), ((1,), (2,)), ((1, 1), (1, 1)), ((1, 1), (2, 1)),
-               ((1,), (3,)), ((2,), (3,)), ((2,), (2,)), ((2, 1), (1, 1))]
+               ((1,), (3,)), ((2,), (3,)), ((2,), (2,)), ((2, 1), (1, 1)),
+               ((1, 1, 1), (1, 1, 1)), ((1, 1), (2, 3)), ((3, 1), (1, 4))]
 
 
 @pytest.mark.parametrize("dims,degrees", PATH_SPACES)
@@ -526,12 +538,58 @@ def test_kernel_beats_random_rank_one_search(dims, degrees):
 def test_batch_has_no_row_cap():
     space = SpaceSpec((1,), (3,))
     points = np.random.default_rng(19).standard_normal((25000, 4))
-    out = max_correlation_batch(space, points, restarts=1)
+    out = max_correlation_batch(space, points)
     assert out.shape == (25000,)
     assert np.all((out > 0.0) & (out <= np.linalg.norm(points, axis=1)))
-    # binary forms are maximized exactly, so one restart matches eight
-    assert np.allclose(out[:50], max_correlation_batch(space, points[:50]),
-                       rtol=0.0, atol=1e-12)
+    hopm = _best_rank_one(space, points[:50], 40, 500)[0]
+    assert np.allclose(out[:50], hopm, rtol=0.0, atol=1e-12)
+
+
+def _random_rank_one_search(space, points, size, rng):
+    """max |<row, x>| over `size` random unit rank-one x, per row."""
+    best = np.zeros(points.shape[0])
+    for _ in range(size // 5000):
+        cloud = np.ones((5000, 1))
+        for n, d in zip(space.dims, space.degrees):
+            forms = rng.standard_normal((5000, n + 1))
+            forms /= np.linalg.norm(forms, axis=1, keepdims=True)
+            cloud = np.einsum("ma,mb->mab", cloud,
+                              veronese_coeffs(forms, d)).reshape(5000, -1)
+        best = np.maximum(best, np.max(np.abs(points @ cloud.T), axis=1))
+    return best
+
+
+@pytest.mark.parametrize("dims,degrees", BINARY_SPACES)
+def test_binary_paths_are_not_below_search_or_hopm(dims, degrees):
+    space = SpaceSpec(dims, degrees)
+    rng = np.random.default_rng(22)
+    points = rng.standard_normal((2000, space.ambient_dim))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    got = max_correlation_batch(space, points)
+    assert np.all(got >= _best_rank_one(space, points, 40, 500)[0] - 1e-14)
+    assert np.all(got >= _random_rank_one_search(space, points, 100_000, rng)
+                  - 1e-14)
+
+
+@pytest.mark.parametrize("dims,degrees", BINARY_SPACES)
+def test_binary_paths_return_the_norm_of_rank_one_rows(dims, degrees):
+    space = SpaceSpec(dims, degrees)
+    rng = np.random.default_rng(23)
+    scales = rng.uniform(0.5, 2.0, 50)
+    rows = np.stack([s * embed(random_segre_point(space, rng)).coeffs
+                     for s in scales])
+    got = max_correlation_batch(space, rows)
+    assert np.all(np.abs(got - scales) <= 1e-14 * scales)
+
+
+@pytest.mark.parametrize("dims,degrees", BINARY_SPACES)
+def test_binary_paths_are_homogeneous_at_extreme_scales(dims, degrees):
+    space = SpaceSpec(dims, degrees)
+    points = np.random.default_rng(24).standard_normal((50, space.ambient_dim))
+    base = max_correlation_batch(space, points)
+    for scale in (1e-200, 1e200):
+        got = max_correlation_batch(space, scale * points) / scale
+        assert np.all(np.abs(got - base) <= 1e-14 * base)
 
 
 def test_rank_one_distance_flags_non_convergence():

@@ -328,6 +328,17 @@ def test_fd_matches_quadratic_form():
         assert lhs == pytest.approx(rhs, abs=1e-5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_normal_is_rejected(bad):
+    # The bad entry sits in the W block, past the orthogonality test.
+    space = SpaceSpec((1,), (2,))
+    f = Tensor(space, [0.0, 0.0, bad])
+    with pytest.raises(DomainError, match="finite"):
+        assemble_weingarten(f)
+    with pytest.raises(DomainError, match="finite"):
+        second_fundamental_form_fd(space, [1.0], f)
+
+
 def test_mixed_degrees_zero_only_degree_one_block():
     space = SpaceSpec((2, 1), (1, 3))
     mat = assemble_weingarten(normal_gaussian(space, 27)).entries
