@@ -249,6 +249,8 @@ def project_components(f: Tensor, split: NormalSplit) -> ComponentDecomposition:
     if f.space != split.space:
         raise DomainError("tensor and split live in different spaces")
     c = f.coeffs
+    if not np.all(np.isfinite(c)):
+        raise DomainError("the tensor must be finite")
     base = float(c[split.base_index])
     tangent = c[split.tangent_indices].copy()
     w = c[split.w_indices].copy()

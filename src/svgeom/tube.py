@@ -2,11 +2,18 @@
 
 The volume of the set of unit tensors within angular distance eps of the
 manifold expands as a finite sum of radial integrals weighted by curvature
-coefficients: manifold volume times the volume of the normal sphere times
-sum_i a_i * J_i(eps).  The radial integrals J_i = B_x(p, q) / 2, with
-x = sin^2 eps, come from an incomplete beta computed in log space in pure
-Python (lgamma and a continued fraction), and every one is cross-checked
-against adaptive Simpson quadrature cut around the kernel's peak.
+coefficients (Weyl's tube formula): manifold volume times the volume of the
+normal sphere times sum_i a_i * J_i(eps).  Only the J_i depend on eps.  The
+coefficients a_i, the expected 2i-minor sums of the shape operator over the
+chi-square moments, depend on the space, the variance profile and the minor
+mode alone; they are computed once per such triple and process and kept in
+a memo of at most 128 entries (`_tube_coefficients`), so a sweep over radii
+evaluates only the radial integrals.
+
+The radial integrals J_i = B_x(p, q) / 2, with x = sin^2 eps, come from an
+incomplete beta computed in log space in pure Python (lgamma and a
+continued fraction), and every one is cross-checked against adaptive
+Simpson quadrature cut around the kernel's peak.
 
 Two printed conventions are kept selectable so they can be adjudicated
 against direct Monte Carlo volume estimates: the exponent of the sine in the
@@ -21,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -175,8 +183,17 @@ def radial_integral(i: int, space: SpaceSpec, eps: float,
 
 
 def _check_radial_args(i: int, space: SpaceSpec, eps: float) -> None:
+    _check_index(i, space)
+    _check_radius(eps)
+
+
+def _check_index(i: int, space: SpaceSpec) -> None:
     if not 0 <= 2 * i <= space.manifold_dim:
         raise DomainError(f"index {i} out of range for this space")
+
+
+def _check_radius(eps: float) -> None:
+    # Written as not (0 < eps <= pi/2), which fails on NaN as well.
     if not 0.0 < eps <= math.pi / 2.0:
         raise DomainError("radius must lie in (0, pi/2]")
 
@@ -191,12 +208,32 @@ def chi2_moment(i: int, c: int) -> float:
     return float(out)
 
 
+@lru_cache(maxsize=128)
+def _tube_coefficients(space: SpaceSpec, profile: VarianceProfile,
+                       minor_mode: str) -> tuple:
+    """a_0 .. a_(n/2), the eps-free half of Weyl's formula.
+
+    Takes the resolved profile, so that None and the default share one
+    entry.  A call that raises (an unknown mode, orders beyond the matching
+    cap) caches nothing.
+    """
+    c = space.normal_dim
+    return tuple(float(expected_minor_sum_exact(space, i, profile, minor_mode))
+                 / chi2_moment(i, c)
+                 for i in range(space.manifold_dim // 2 + 1))
+
+
 def tube_coefficient(i: int, space: SpaceSpec,
                      profile: VarianceProfile | None = None,
                      minor_mode: str = "corrected") -> float:
-    """Normalized curvature coefficient: expected minor sum over the moment."""
-    ems = expected_minor_sum_exact(space, i, profile, minor_mode)
-    return float(ems) / chi2_moment(i, space.normal_dim)
+    """Normalized curvature coefficient: expected minor sum over the moment.
+
+    Read from the vector of all orders, so a space whose top orders exceed
+    the matching cap raises `ResourceError` at every i.
+    """
+    _check_index(i, space)
+    profile = profile or variance_profile(DEFAULT_PROFILE, space.degrees)
+    return _tube_coefficients(space, profile, minor_mode)[i]
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +288,17 @@ def tube_volume(space: SpaceSpec, eps: float,
 
     Valid below the reach; larger radii are still evaluated but flagged.
     """
-    profile = profile or variance_profile(DEFAULT_PROFILE, space.degrees)
     c = space.normal_dim
     if c < 1:
         raise DomainError("the manifold must have positive codimension")
+    _check_radius(eps)
+    if exponent_convention not in EXPONENT_CONVENTIONS:
+        raise DomainError(f"unknown convention {exponent_convention!r}")
+    profile = profile or variance_profile(DEFAULT_PROFILE, space.degrees)
     prefactor = manifold_volume(space) * sphere_volume(c - 1)
     terms = []
     total = 0.0
-    for i in range(space.manifold_dim // 2 + 1):
-        a_i = tube_coefficient(i, space, profile, minor_mode)
+    for i, a_i in enumerate(_tube_coefficients(space, profile, minor_mode)):
         j_i = radial_integral(i, space, eps, exponent_convention)
         contribution = prefactor * a_i * j_i
         total += contribution

@@ -140,11 +140,6 @@ def assemble_batch(space: SpaceSpec, w: Array, g: Array) -> Array:
     return mats
 
 
-def _check_finite(f: Tensor, what: str) -> None:
-    if not np.all(np.isfinite(f.coeffs)):
-        raise DomainError(f"{what} must be finite")
-
-
 def _check_normal(comp, norm: float, what: str, tol: float = 1e-10) -> None:
     bound = tol * max(1.0, norm)
     # Written as not (x <= bound), which fails on NaN as well.
@@ -157,7 +152,6 @@ def _check_normal(comp, norm: float, what: str, tol: float = 1e-10) -> None:
 def assemble_weingarten(f: Tensor, split: NormalSplit | None = None) -> WeingartenMatrix:
     """Shape operator of the manifold at the base point, normal direction f."""
     split = split or normal_split(f.space)
-    _check_finite(f, "the normal direction")
     comp = project_components(f, split)
     _check_normal(comp, f.norm, "the normal direction")
     mat = assemble_batch(f.space, comp.w[None, :], comp.g[None, :])[0]
@@ -324,5 +318,6 @@ def second_fundamental_form_fd(space: SpaceSpec, v, normal: Tensor) -> float:
     """
     if normal.space != space:
         raise DomainError("normal tensor lives in a different space")
-    _check_finite(normal, "the normal tensor")
+    if not np.all(np.isfinite(normal.coeffs)):
+        raise DomainError("the normal tensor must be finite")
     return float(np.dot(second_derivative_fd(space, v), normal.coeffs))

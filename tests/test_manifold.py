@@ -225,6 +225,19 @@ def test_project_parseval(seed):
     assert abs(total - f.norm ** 2) <= 1e-10 * max(1.0, f.norm ** 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_tensor_is_rejected(bad):
+    # The bad entry sits in the W block; unchecked, p_norm came out NaN and
+    # the flat-complement test answered False.
+    space = SpaceSpec((1,), (2,))
+    split = normal_split(space)
+    f = Tensor(space, [0.0, 0.0, bad])
+    with pytest.raises(DomainError, match="finite"):
+        project_components(f, split)
+    with pytest.raises(DomainError, match="finite"):
+        split.in_flat_complement(f)
+
+
 # ---------------------------------------------------------------------------
 # local isometry and homogeneity
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+import svgeom.tube as tube_module
 from svgeom import (
     DomainError,
+    ResourceError,
     SpaceSpec,
     chi2_moment,
     manifold_volume,
@@ -19,6 +21,8 @@ from svgeom import (
     tube_volume,
     variance_profile,
 )
+from svgeom.matchings import MINOR_MODES, expected_minor_sum_exact
+from svgeom.weingarten import DEFAULT_PROFILE, PROFILE_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +226,105 @@ def test_tube_coefficient_vanishes_beyond_range():
     space = SpaceSpec((1,), (3,))
     report = tube_volume(space, 0.3)
     assert [t.i for t in report.terms] == [0]
+
+
+def test_tube_coefficient_index_checks():
+    space = SpaceSpec((2,), (2,))
+    for i in (-1, 2):
+        with pytest.raises(DomainError):
+            tube_coefficient(i, space)
+
+
+# ---------------------------------------------------------------------------
+# coefficient memo
+# ---------------------------------------------------------------------------
+
+MEMO_SPACES = [((1,), (2,)), ((2,), (3,)), ((8,), (2,)), ((1, 1), (1, 2)),
+               ((2, 2), (1, 1)), ((3, 2), (2, 1)), ((4, 4), (1, 2)),
+               ((1, 1, 1), (1, 1, 1)), ((2, 2, 2), (1, 1, 2)),
+               ((3, 3, 2), (1, 2, 1))]
+
+
+@pytest.fixture
+def minor_sum_calls(monkeypatch):
+    """Arguments of every exact minor sum the tube module asks for."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return expected_minor_sum_exact(*args)
+
+    monkeypatch.setattr(tube_module, "expected_minor_sum_exact", counting)
+    return calls
+
+
+@pytest.mark.parametrize("dims,degrees", MEMO_SPACES)
+def test_coefficient_memo_is_bit_identical(dims, degrees):
+    space = SpaceSpec(dims, degrees)
+    c = space.normal_dim
+    for name, mode in itertools.product(PROFILE_NAMES, MINOR_MODES):
+        profile = variance_profile(name, degrees)
+        want = [float(expected_minor_sum_exact(space, i, profile, mode))
+                / chi2_moment(i, c)
+                for i in range(space.manifold_dim // 2 + 1)]
+        got = tube_module._tube_coefficients(space, profile, mode)
+        assert [a.hex() for a in got] == [a.hex() for a in want]
+        assert [tube_coefficient(i, space, profile, mode).hex()
+                for i in range(len(want))] == [a.hex() for a in want]
+
+
+def test_coefficient_memo_serves_a_sweep_over_radii(minor_sum_calls):
+    tube_module._tube_coefficients.cache_clear()
+    space = SpaceSpec((3, 2), (2, 1))
+    weingarten = variance_profile("weingarten", space.degrees)
+    first = tube_volume(space, 0.1, profile=weingarten)
+    assert len(minor_sum_calls) == len(first.terms)
+    minor_sum_calls.clear()
+    second = tube_volume(space, 0.4, profile=weingarten)
+    assert minor_sum_calls == []
+    assert [t.a for t in second.terms] == [t.a for t in first.terms]
+    tube_volume(space, 0.4, profile=variance_profile("corollary",
+                                                      space.degrees))
+    assert len(minor_sum_calls) == len(first.terms)
+    minor_sum_calls.clear()
+    tube_volume(space, 0.4, minor_mode="paper", profile=weingarten)
+    assert len(minor_sum_calls) == len(first.terms)
+    assert tube_module._tube_coefficients.cache_info().currsize == 3
+
+
+def test_default_profile_shares_one_memo_entry():
+    tube_module._tube_coefficients.cache_clear()
+    space = SpaceSpec((2, 1), (2, 2))
+    implicit = tube_volume(space, 0.3)
+    explicit = tube_volume(space, 0.3, profile=variance_profile(
+        DEFAULT_PROFILE, space.degrees))
+    assert implicit.to_json() == explicit.to_json()
+    assert tube_module._tube_coefficients.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eps": 3.0}, {"eps": math.nan}, {"eps": -0.1},
+    {"eps": 0.3, "exponent_convention": "bogus"}])
+def test_invalid_arguments_raise_before_coefficient_work(minor_sum_calls,
+                                                         kwargs):
+    space = SpaceSpec((6, 6, 6, 6), (1, 1, 1, 1))
+    size = tube_module._tube_coefficients.cache_info().currsize
+    with pytest.raises(DomainError):
+        tube_volume(space, **kwargs)
+    assert minor_sum_calls == []
+    assert tube_module._tube_coefficients.cache_info().currsize == size
+
+
+def test_failed_coefficients_are_not_cached(minor_sum_calls):
+    # Order 13 needs 26 matching vertices, past the cap.
+    space = SpaceSpec((13, 13), (1, 1))
+    size = tube_module._tube_coefficients.cache_info().currsize
+    for _ in range(2):
+        minor_sum_calls.clear()
+        with pytest.raises(ResourceError):
+            tube_volume(space, 0.1)
+        assert len(minor_sum_calls) == 14
+    assert tube_module._tube_coefficients.cache_info().currsize == size
 
 
 # ---------------------------------------------------------------------------
