@@ -6,9 +6,10 @@ coefficients (Weyl's tube formula): manifold volume times the volume of the
 normal sphere times sum_i a_i * J_i(eps).  Only the J_i depend on eps.  The
 coefficients a_i, the expected 2i-minor sums of the shape operator over the
 chi-square moments, depend on the space, the variance profile and the minor
-mode alone; they are computed once per such triple and process and kept in
-a memo of at most 128 entries (`_tube_coefficients`), so a sweep over radii
-evaluates only the radial integrals.
+mode alone; each order is computed once per such triple and process and
+kept in a memo of at most 1024 entries (`_tube_coefficient`).  A repeated
+call on the same space, profile and minor mode, at any radius or exponent
+convention, evaluates only the radial integrals.
 
 The radial integrals J_i = B_x(p, q) / 2, with x = sin^2 eps, come from an
 incomplete beta computed in log space in pure Python (lgamma and a
@@ -208,32 +209,26 @@ def chi2_moment(i: int, c: int) -> float:
     return float(out)
 
 
-@lru_cache(maxsize=128)
-def _tube_coefficients(space: SpaceSpec, profile: VarianceProfile,
-                       minor_mode: str) -> tuple:
-    """a_0 .. a_(n/2), the eps-free half of Weyl's formula.
+@lru_cache(maxsize=1024)
+def _tube_coefficient(space: SpaceSpec, profile: VarianceProfile,
+                      minor_mode: str, i: int) -> float:
+    """a_i, the eps-free half of Weyl's formula, kept per order.
 
     Takes the resolved profile, so that None and the default share one
-    entry.  A call that raises (an unknown mode, orders beyond the matching
-    cap) caches nothing.
+    entry.  An order that raises (an unknown mode, past the matching cap)
+    is not cached.
     """
-    c = space.normal_dim
-    return tuple(float(expected_minor_sum_exact(space, i, profile, minor_mode))
-                 / chi2_moment(i, c)
-                 for i in range(space.manifold_dim // 2 + 1))
+    ems = expected_minor_sum_exact(space, i, profile, minor_mode)
+    return float(ems) / chi2_moment(i, space.normal_dim)
 
 
 def tube_coefficient(i: int, space: SpaceSpec,
                      profile: VarianceProfile | None = None,
                      minor_mode: str = "corrected") -> float:
-    """Normalized curvature coefficient: expected minor sum over the moment.
-
-    Read from the vector of all orders, so a space whose top orders exceed
-    the matching cap raises `ResourceError` at every i.
-    """
+    """Normalized curvature coefficient: expected minor sum over the moment."""
     _check_index(i, space)
     profile = profile or variance_profile(DEFAULT_PROFILE, space.degrees)
-    return _tube_coefficients(space, profile, minor_mode)[i]
+    return _tube_coefficient(space, profile, minor_mode, i)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +293,8 @@ def tube_volume(space: SpaceSpec, eps: float,
     prefactor = manifold_volume(space) * sphere_volume(c - 1)
     terms = []
     total = 0.0
-    for i, a_i in enumerate(_tube_coefficients(space, profile, minor_mode)):
+    for i in range(space.manifold_dim // 2 + 1):
+        a_i = _tube_coefficient(space, profile, minor_mode, i)
         j_i = radial_integral(i, space, eps, exponent_convention)
         contribution = prefactor * a_i * j_i
         total += contribution

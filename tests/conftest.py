@@ -1,0 +1,14 @@
+import pytest
+
+import svgeom.tube
+
+
+@pytest.fixture(autouse=True)
+def cold_tube_coefficient_memo():
+    """Leave the process-wide tube coefficient memo empty after each test.
+
+    Tests that count exact minor sums, or trace a tube_volume call, in the
+    same process then see the same work whatever ran before them.
+    """
+    yield
+    svgeom.tube._tube_coefficient.cache_clear()

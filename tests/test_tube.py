@@ -258,6 +258,10 @@ def minor_sum_calls(monkeypatch):
     return calls
 
 
+def memo_size():
+    return tube_module._tube_coefficient.cache_info().currsize
+
+
 @pytest.mark.parametrize("dims,degrees", MEMO_SPACES)
 def test_coefficient_memo_is_bit_identical(dims, degrees):
     space = SpaceSpec(dims, degrees)
@@ -267,39 +271,39 @@ def test_coefficient_memo_is_bit_identical(dims, degrees):
         want = [float(expected_minor_sum_exact(space, i, profile, mode))
                 / chi2_moment(i, c)
                 for i in range(space.manifold_dim // 2 + 1)]
-        got = tube_module._tube_coefficients(space, profile, mode)
+        got = [tube_module._tube_coefficient(space, profile, mode, i)
+               for i in range(len(want))]
         assert [a.hex() for a in got] == [a.hex() for a in want]
         assert [tube_coefficient(i, space, profile, mode).hex()
                 for i in range(len(want))] == [a.hex() for a in want]
 
 
 def test_coefficient_memo_serves_a_sweep_over_radii(minor_sum_calls):
-    tube_module._tube_coefficients.cache_clear()
     space = SpaceSpec((3, 2), (2, 1))
     weingarten = variance_profile("weingarten", space.degrees)
     first = tube_volume(space, 0.1, profile=weingarten)
-    assert len(minor_sum_calls) == len(first.terms)
+    orders = len(first.terms)
+    assert len(minor_sum_calls) == orders
     minor_sum_calls.clear()
-    second = tube_volume(space, 0.4, profile=weingarten)
+    second = tube_volume(space, 0.4, "paper", profile=weingarten)
     assert minor_sum_calls == []
     assert [t.a for t in second.terms] == [t.a for t in first.terms]
     tube_volume(space, 0.4, profile=variance_profile("corollary",
                                                       space.degrees))
-    assert len(minor_sum_calls) == len(first.terms)
+    assert len(minor_sum_calls) == orders
     minor_sum_calls.clear()
     tube_volume(space, 0.4, minor_mode="paper", profile=weingarten)
-    assert len(minor_sum_calls) == len(first.terms)
-    assert tube_module._tube_coefficients.cache_info().currsize == 3
+    assert len(minor_sum_calls) == orders
+    assert memo_size() == 3 * orders
 
 
 def test_default_profile_shares_one_memo_entry():
-    tube_module._tube_coefficients.cache_clear()
     space = SpaceSpec((2, 1), (2, 2))
     implicit = tube_volume(space, 0.3)
     explicit = tube_volume(space, 0.3, profile=variance_profile(
         DEFAULT_PROFILE, space.degrees))
     assert implicit.to_json() == explicit.to_json()
-    assert tube_module._tube_coefficients.cache_info().currsize == 1
+    assert memo_size() == len(implicit.terms)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -308,23 +312,33 @@ def test_default_profile_shares_one_memo_entry():
 def test_invalid_arguments_raise_before_coefficient_work(minor_sum_calls,
                                                          kwargs):
     space = SpaceSpec((6, 6, 6, 6), (1, 1, 1, 1))
-    size = tube_module._tube_coefficients.cache_info().currsize
     with pytest.raises(DomainError):
         tube_volume(space, **kwargs)
     assert minor_sum_calls == []
-    assert tube_module._tube_coefficients.cache_info().currsize == size
+    assert memo_size() == 0
 
 
-def test_failed_coefficients_are_not_cached(minor_sum_calls):
-    # Order 13 needs 26 matching vertices, past the cap.
+def test_orders_past_the_matching_cap_are_not_cached(minor_sum_calls):
+    # Order 13 needs 26 matching vertices, past the cap; orders 0..12 fit.
     space = SpaceSpec((13, 13), (1, 1))
-    size = tube_module._tube_coefficients.cache_info().currsize
-    for _ in range(2):
-        minor_sum_calls.clear()
-        with pytest.raises(ResourceError):
-            tube_volume(space, 0.1)
-        assert len(minor_sum_calls) == 14
-    assert tube_module._tube_coefficients.cache_info().currsize == size
+    with pytest.raises(ResourceError):
+        tube_volume(space, 0.1)
+    assert len(minor_sum_calls) == 14
+    assert memo_size() == 13
+    minor_sum_calls.clear()
+    with pytest.raises(ResourceError):
+        tube_volume(space, 0.1)
+    assert len(minor_sum_calls) == 1
+    assert memo_size() == 13
+
+
+def test_low_orders_of_a_large_space_stay_reachable():
+    space = SpaceSpec((40, 40, 40), (1, 1, 1))
+    profile = variance_profile(DEFAULT_PROFILE, space.degrees)
+    want = (float(expected_minor_sum_exact(space, 1, profile, "corrected"))
+            / chi2_moment(1, space.normal_dim))
+    assert tube_coefficient(1, space).hex() == want.hex()
+    assert memo_size() == 1
 
 
 # ---------------------------------------------------------------------------
