@@ -28,7 +28,6 @@ from .geodesics_reach import (
     curvature_closed_form,
     extremal_curvature,
     geodesic_eval,
-    normal_curvature_numeric,
     reach,
     rho1,
     rho2,
@@ -81,7 +80,6 @@ from .weingarten import (
     sample_gaussian_weingarten,
     second_fundamental_form_fd,
     variance_profile,
-    veronese_weingarten,
 )
 
 __version__ = "0.1.0"

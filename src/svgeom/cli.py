@@ -3,9 +3,11 @@
 Each invocation prints a single JSON document on stdout (logs go to stderr)
 and exits 0 on success, 1 on usage errors, 2 on domain errors, and 3 when a
 resource guard trips.  The JSON always echoes the resolved configuration so
-runs are reproducible.  Only the sampling subcommands (weingarten, mc-det,
-mc-tube) take a seed: 42 by default, overridable by the SVGEOM_SEED
-environment variable and the --seed flag.
+runs are reproducible, and it is strict (RFC 8259): no NaN or Infinity, so
+the infinite standard error of a one-sample mc-det prints as null.  Only
+the sampling subcommands (weingarten, mc-det, mc-tube) take a seed: 42 by
+default, overridable by the SVGEOM_SEED environment variable and the
+--seed flag.
 
 Each subcommand is one entry of `SUBCOMMANDS` (help text, handler, options),
 the only place to add a subcommand or an option: the parser, the config echo
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -141,22 +144,23 @@ def _tube(args) -> dict:
                          args.minor_mode, _profile(args))
     if args.csv:
         report.terms_csv(args.csv)
-    return json.loads(report.to_json())
+    return report.to_json_dict()
 
 
 def _mc_det(args) -> dict:
     problem = MatchingProblem(args.dims, args.degrees, _profile(args))
     stats = mc_expected_det(problem, McConfig(args.samples, args.seed),
                             output=args.csv)
-    return {"mean": stats.mean, "std_error": stats.std_error,
+    # One sample has an infinite standard error, which JSON cannot hold.
+    std_error = stats.std_error if math.isfinite(stats.std_error) else None
+    return {"mean": stats.mean, "std_error": std_error,
             "samples": stats.samples, "seed": stats.seed,
             "expected": matching_determinant(problem)}
 
 
 def _mc_tube(args) -> dict:
     est = mc_tube_volume(_space(args), args.epsilon, McConfig(args.samples, args.seed))
-    return {"volume": est.volume, "std_error": est.std_error,
-            "fraction": est.fraction, "samples": est.samples, "seed": est.seed}
+    return asdict(est)
 
 
 def _selftest(args) -> dict:
@@ -241,7 +245,7 @@ def main(argv=None) -> int:
         return 3
     config = {key: value for key, value in vars(args).items()
               if key not in ("subcommand", "json", "csv")}
-    text = json.dumps({"config": config, **body}, indent=2)
+    text = json.dumps({"config": config, **body}, indent=2, allow_nan=False)
     print(text)
     if args.json:
         with open(args.json, "w") as fh:

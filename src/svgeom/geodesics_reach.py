@@ -16,7 +16,6 @@ bottleneck chord joins orthogonal rank-one tensors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -80,11 +79,6 @@ def curve_component_norms(space: SpaceSpec, v) -> tuple[float, float]:
     base_sq = float(acc[split.base_index] ** 2)
     normal_sq = float(np.dot(acc, acc)) - tangential_sq - base_sq
     return math.sqrt(tangential_sq), math.sqrt(max(normal_sq, 0.0))
-
-
-def normal_curvature_numeric(space: SpaceSpec, v) -> float:
-    """Norm of the normal projection of the numeric second derivative."""
-    return curve_component_norms(space, v)[1]
 
 
 def curvature_closed_form(speeds, degrees) -> float:
@@ -264,10 +258,6 @@ class ReachReport:
     rho2: float
     reach: float
     regime: str
-
-    def to_json(self) -> str:
-        return json.dumps({"rho1": self.rho1, "rho2": self.rho2,
-                           "reach": self.reach, "regime": self.regime})
 
 
 def reach(space: SpaceSpec) -> ReachReport:

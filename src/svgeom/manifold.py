@@ -14,10 +14,9 @@ curvature and is kept implicit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, cached_property
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -133,48 +132,12 @@ class NormalSplit:
     p_dim: int
     base_index: int = 0
 
-    @cached_property
-    def tangent_basis(self) -> tuple[Tensor, ...]:
-        return self._materialize(self.tangent_indices)
-
-    @cached_property
-    def w_basis(self) -> tuple[Tensor, ...]:
-        return self._materialize(self.w_indices)
-
-    @cached_property
-    def g_basis(self) -> tuple[Tensor, ...]:
-        return self._materialize(self.g_indices)
-
-    def _materialize(self, indices: Array) -> tuple[Tensor, ...]:
-        out = []
-        for idx in indices:
-            c = np.zeros(self.space.ambient_dim)
-            c[idx] = 1.0
-            out.append(Tensor(self.space, c))
-        return tuple(out)
-
-    def in_flat_complement(self, f: Tensor, tol: float = 1e-10) -> bool:
-        """Membership test for the flat normal block."""
+    def in_flat_complement(self, f: Tensor) -> bool:
+        """Membership test for the flat normal block: the norm of f outside
+        it is at most 1e-10 max(1, |f|)."""
         comp = project_components(f, self)
         other = math.sqrt(abs(f.norm ** 2 - comp.p_norm ** 2))
-        return other <= tol * max(1.0, f.norm)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "space": self.space.to_json_dict(),
-            "base_index": int(self.base_index),
-            "tangent": [{"factor": i, "direction": k, "index": int(ix)}
-                        for (i, k), ix in zip(self.tangent_labels, self.tangent_indices)],
-            "w": [{"factor": i, "pair": [k, l], "index": int(ix)}
-                  for (i, (k, l)), ix in zip(self.w_labels, self.w_indices)],
-            "g": [{"factors": [i, j], "pair": [k, l], "index": int(ix)}
-                  for ((i, j), (k, l)), ix in zip(self.g_labels, self.g_indices)],
-            "p_dim": self.p_dim,
-        })
-
-
-def _base_ranks(space: SpaceSpec) -> list[int]:
-    return [0] * space.r
+        return other <= 1e-10 * max(1.0, f.norm)
 
 
 def _global_index(space: SpaceSpec, ranks) -> int:
@@ -197,7 +160,7 @@ def normal_split(space: SpaceSpec) -> NormalSplit:
 
     for i, (n, d) in enumerate(zip(space.dims, space.degrees)):
         for k in range(1, n + 1):
-            ranks = _base_ranks(space)
+            ranks = [0] * space.r
             ranks[i] = tangent_rank[(i, k)]
             tangent_labels.append((i, k))
             tangent_indices.append(_global_index(space, ranks))
@@ -208,7 +171,7 @@ def normal_split(space: SpaceSpec) -> NormalSplit:
                     alpha[0] = d - 2
                     alpha[k] += 1
                     alpha[l] += 1
-                    ranks = _base_ranks(space)
+                    ranks = [0] * space.r
                     ranks[i] = basis_rank(tuple(alpha), n, d)
                     w_labels.append((i, (k, l)))
                     w_indices.append(_global_index(space, ranks))
@@ -217,7 +180,7 @@ def normal_split(space: SpaceSpec) -> NormalSplit:
         for j in range(i + 1, space.r):
             for k in range(1, space.dims[i] + 1):
                 for l in range(1, space.dims[j] + 1):
-                    ranks = _base_ranks(space)
+                    ranks = [0] * space.r
                     ranks[i] = tangent_rank[(i, k)]
                     ranks[j] = tangent_rank[(j, l)]
                     g_labels.append(((i, j), (k, l)))

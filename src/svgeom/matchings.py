@@ -31,7 +31,8 @@ MINOR_MODES = ("corrected", "paper")
 
 @dataclass(frozen=True)
 class MatchingProblem:
-    """Grouped complete graph with a variance/weight profile."""
+    """Grouped complete graph with a variance/weight profile; a profile of
+    None is replaced by DEFAULT_PROFILE on construction."""
 
     group_sizes: tuple
     degrees: tuple
@@ -48,16 +49,15 @@ class MatchingProblem:
             raise DomainError("degrees must be >= 1")
         object.__setattr__(self, "group_sizes", sizes)
         object.__setattr__(self, "degrees", degrees)
-        if self.profile is not None and \
-                len(self.profile.within_offdiag) != len(degrees):
+        if self.profile is None:
+            object.__setattr__(self, "profile",
+                               variance_profile(DEFAULT_PROFILE, degrees))
+        elif len(self.profile.within_offdiag) != len(degrees):
             raise DomainError("profile length does not match the degrees")
 
     @property
     def m(self) -> int:
         return sum(self.group_sizes)
-
-    def resolved_profile(self) -> VarianceProfile:
-        return self.profile or variance_profile(DEFAULT_PROFILE, self.degrees)
 
 
 def _canonical(groups) -> tuple:
@@ -99,25 +99,22 @@ def _perfect_matchings(p: MatchingProblem, within) -> Fraction:
 
 def weighted_matching_sum(p: MatchingProblem) -> Fraction:
     """Exact weighted count of perfect matchings; zero when m is odd."""
-    profile = p.resolved_profile()
-    return _perfect_matchings(p, profile.within_offdiag)
+    return _perfect_matchings(p, p.profile.within_offdiag)
 
 
 def matching_count(p: MatchingProblem) -> int:
     """Number of perfect matchings whose weight is nonzero."""
-    profile = p.resolved_profile()
     return int(_perfect_matchings(
-        p, [Fraction(1 if w else 0) for w in profile.within_offdiag]))
+        p, [Fraction(1 if w else 0) for w in p.profile.within_offdiag]))
 
 
 def _edge_weight(p: MatchingProblem):
     """The weight (variance) of the edge between labelled vertices u, v."""
     groups = [g for g, size in enumerate(p.group_sizes) for _ in range(size)]
-    profile = p.resolved_profile()
 
     def weight(u: int, v: int) -> Fraction:
         if groups[u] == groups[v]:
-            return profile.within_offdiag[groups[u]]
+            return p.profile.within_offdiag[groups[u]]
         return Fraction(1)
 
     return weight

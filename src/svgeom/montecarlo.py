@@ -8,8 +8,8 @@ reduced with numpy's pairwise summation.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +19,7 @@ from .bw_algebra import SpaceSpec
 from .errors import DomainError, ResourceError
 from .manifold import max_correlation_batch
 from .matchings import MatchingProblem
-from .tube import sphere_volume
+from .tube import _check_radius, sphere_volume
 from .weingarten import (
     gaussian_weingarten_batch,
     principal_minor_sums_batch,
@@ -32,12 +32,19 @@ MC_TUBE_AMBIENT_CAP = 12
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sample count and seed."""
+    """Sample count and seed, both integers."""
 
     samples: int
     seed: int = 42
 
     def __post_init__(self):
+        # bool is an Integral too, but True is no sample count.
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or \
+                    not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, "
+                                  f"not {value!r}")
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
         if self.seed < 0:
@@ -85,10 +92,6 @@ class McStats:
     seed: int
     histogram: Histogram | None = None
 
-    def to_json(self) -> str:
-        return json.dumps({"mean": self.mean, "std_error": self.std_error,
-                           "samples": self.samples, "seed": self.seed})
-
 
 def _mean_and_error(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error; the error is infinite for one
@@ -107,10 +110,10 @@ def mc_expected_det(problem: MatchingProblem, cfg: McConfig, *,
     of the empirical distribution is attached and, given an output path,
     written there as CSV.
     """
-    profile = problem.resolved_profile()
     chunks = []
     for rng, count in _batch_streams(cfg):
-        mats = sample_block_matrix_batch(problem.group_sizes, profile, rng, count)
+        mats = sample_block_matrix_batch(problem.group_sizes, problem.profile,
+                                         rng, count)
         chunks.append(np.linalg.det(mats))
     values = np.concatenate(chunks)
     mean, std_error = _mean_and_error(values)
@@ -140,11 +143,6 @@ class McVolume:
     samples: int
     seed: int
 
-    def to_json(self) -> str:
-        return json.dumps({"volume": self.volume, "std_error": self.std_error,
-                           "fraction": self.fraction, "samples": self.samples,
-                           "seed": self.seed})
-
 
 def mc_tube_volume(space: SpaceSpec, eps: float, cfg: McConfig) -> McVolume:
     """Rejection estimate of the tube volume from uniform sphere samples.
@@ -158,8 +156,7 @@ def mc_tube_volume(space: SpaceSpec, eps: float, cfg: McConfig) -> McVolume:
         raise ResourceError(
             f"ambient dimension {space.ambient_dim} exceeds the rejection "
             f"sampling cap {MC_TUBE_AMBIENT_CAP}; use a smaller space")
-    if not 0.0 < eps <= math.pi / 2.0:
-        raise DomainError("radius must lie in (0, pi/2]")
+    _check_radius(eps)
     threshold = math.cos(eps)
     hits = 0
     for rng, count in _batch_streams(cfg):

@@ -155,7 +155,7 @@ def criterion_weingarten_oracle(full: bool = True) -> CriterionResult:
             coeffs[split.tangent_indices] = 0.0
             normal = Tensor(space, coeffs / np.linalg.norm(coeffs))
             lhs = second_fundamental_form_fd(space, v, normal)
-            mat = assemble_weingarten(normal, split).entries
+            mat = assemble_weingarten(normal).entries
             rhs = float(v @ mat @ v)
             worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-5

@@ -26,7 +26,6 @@ the default edge-weight profile.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -99,7 +98,8 @@ def radial_integral_quadrature(i: int, space: SpaceSpec, eps: float,
     """Adaptive Simpson evaluation of the radial kernel integral."""
     a = _sine_exponent(i, space, convention)
     b = space.manifold_dim - 2 * i
-    _check_radial_args(i, space, eps)
+    _check_index(i, space)
+    _check_radius(eps)
 
     def kernel(phi):
         return math.sin(phi) ** a * math.cos(phi) ** b
@@ -172,7 +172,8 @@ def radial_integral(i: int, space: SpaceSpec, eps: float,
     """
     a = _sine_exponent(i, space, convention)
     b = space.manifold_dim - 2 * i
-    _check_radial_args(i, space, eps)
+    _check_index(i, space)
+    _check_radius(eps)
     p, q = (a + 1) / 2.0, (b + 1) / 2.0
     value = 0.5 * math.exp(_log_incomplete_beta(
         p, q, math.sin(eps) ** 2, math.cos(eps) ** 2))
@@ -181,11 +182,6 @@ def radial_integral(i: int, space: SpaceSpec, eps: float,
         raise ArithmeticError(
             f"radial integral mismatch: beta {value} vs quadrature {check}")
     return value
-
-
-def _check_radial_args(i: int, space: SpaceSpec, eps: float) -> None:
-    _check_index(i, space)
-    _check_radius(eps)
 
 
 def _check_index(i: int, space: SpaceSpec) -> None:
@@ -254,8 +250,8 @@ class TubeReport:
     terms: tuple
     validity: bool
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_json_dict(self) -> dict:
+        return {
             "space": self.space.to_json_dict(),
             "epsilon": self.epsilon,
             "conventions": {
@@ -267,7 +263,7 @@ class TubeReport:
             "terms": [{"i": t.i, "a_i": t.a, "J_i": t.j,
                        "contribution": t.contribution} for t in self.terms],
             "validity": self.validity,
-        })
+        }
 
     def terms_csv(self, path) -> None:
         rows = np.array([[t.i, t.a, t.j, t.contribution] for t in self.terms])

@@ -27,7 +27,7 @@ import numpy as np
 from .bw_algebra import Array, SpaceSpec, Tensor
 from .errors import DomainError
 from .geodesics_reach import second_derivative_fd
-from .manifold import NormalSplit, normal_split, project_components
+from .manifold import normal_split, project_components
 
 
 @dataclass(frozen=True)
@@ -140,29 +140,21 @@ def assemble_batch(space: SpaceSpec, w: Array, g: Array) -> Array:
     return mats
 
 
-def _check_normal(comp, norm: float, what: str, tol: float = 1e-10) -> None:
-    bound = tol * max(1.0, norm)
+def assemble_weingarten(f: Tensor) -> WeingartenMatrix:
+    """Shape operator of the manifold at the base point, normal direction f.
+
+    Raises DomainError unless f is normal: its base coordinate and every
+    tangent coordinate at most 1e-10 max(1, |f|) in absolute value.
+    """
+    comp = project_components(f, normal_split(f.space))
+    bound = 1e-10 * max(1.0, f.norm)
     # Written as not (x <= bound), which fails on NaN as well.
     if not (abs(comp.base) <= bound
             and np.max(np.abs(comp.tangent), initial=0.0) <= bound):
-        raise DomainError(f"{what} must be orthogonal to the base point and "
-                          "to the tangent space")
-
-
-def assemble_weingarten(f: Tensor, split: NormalSplit | None = None) -> WeingartenMatrix:
-    """Shape operator of the manifold at the base point, normal direction f."""
-    split = split or normal_split(f.space)
-    comp = project_components(f, split)
-    _check_normal(comp, f.norm, "the normal direction")
+        raise DomainError("the normal direction must be orthogonal to the "
+                          "base point and to the tangent space")
     mat = assemble_batch(f.space, comp.w[None, :], comp.g[None, :])[0]
     return WeingartenMatrix(f.space, mat)
-
-
-def veronese_weingarten(f: Tensor) -> WeingartenMatrix:
-    """Single-factor shape operator; zero whenever the degree is one."""
-    if f.space.r != 1:
-        raise DomainError("veronese_weingarten expects a single-factor space")
-    return assemble_weingarten(f)
 
 
 # ---------------------------------------------------------------------------

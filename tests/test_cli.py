@@ -184,6 +184,26 @@ def test_config_echoes_every_option(capsys, name):
     assert list(doc)[0] == "config"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("name, argv", [
+    *(pytest.param(name, argv, id=name) for name, argv in MINIMAL_ARGV.items()),
+    # One sample has an infinite standard error, once printed as Infinity.
+    pytest.param("mc-det", ["--dims", "2", "--degrees", "2", "--samples", "1"],
+                 id="mc-det-one-sample")])
+def test_output_is_strict_json(capsys, tmp_path, name, argv):
+    path = tmp_path / "doc.json"
+    assert main([name, *argv, "--json", str(path)]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert "config" in doc
+    assert path.read_text() == text
+    if argv[-2:] == ["--samples", "1"]:
+        assert doc["std_error"] is None
+
+
 def test_reused_parser_keeps_no_state(capsys, monkeypatch):
     monkeypatch.delenv("SVGEOM_SEED", raising=False)
 

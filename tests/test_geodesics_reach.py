@@ -1,6 +1,6 @@
 import itertools
-import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from svgeom import (
     embed,
     extremal_curvature,
     geodesic_eval,
-    normal_curvature_numeric,
     reach,
     rho1,
     rho2,
@@ -88,10 +87,10 @@ def test_tangent_coordinate_curves_have_no_tangential_acceleration(dims,
 # ---------------------------------------------------------------------------
 
 def test_numeric_curvature_examples():
-    assert normal_curvature_numeric(
-        SpaceSpec((1,), (2,)), [1.0]) == pytest.approx(1.0, abs=1e-6)
-    assert normal_curvature_numeric(
-        SpaceSpec((1, 1), (1, 1)), [1.0, 0.0]) == pytest.approx(0.0, abs=1e-6)
+    assert curve_component_norms(
+        SpaceSpec((1,), (2,)), [1.0])[1] == pytest.approx(1.0, abs=1e-6)
+    assert curve_component_norms(
+        SpaceSpec((1, 1), (1, 1)), [1.0, 0.0])[1] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_numeric_matches_closed_form():
@@ -104,7 +103,7 @@ def test_numeric_matches_closed_form():
         theta = rng.standard_normal(r)
         theta /= np.linalg.norm(theta)
         v = np.concatenate([t * np.eye(n)[0] for n, t in zip(dims, theta)])
-        assert normal_curvature_numeric(space, v) == pytest.approx(
+        assert curve_component_norms(space, v)[1] == pytest.approx(
             curvature_closed_form(theta, degrees), abs=1e-6)
 
 
@@ -238,7 +237,7 @@ def test_reach_is_min_of_radii():
 
 
 def test_reach_report_json():
-    doc = json.loads(reach(SpaceSpec((1,), (2,))).to_json())
+    doc = asdict(reach(SpaceSpec((1,), (2,))))
     assert set(doc) == {"rho1", "rho2", "reach", "regime"}
 
 

@@ -57,6 +57,22 @@ def test_config_validation():
         McConfig(10, seed=-1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"samples": 2.5}, {"samples": 1000.0}, {"samples": True},
+    {"samples": "10"}, {"samples": 10, "seed": True},
+    {"samples": 10, "seed": 1.0}])
+def test_config_rejects_non_integers(kwargs):
+    # Unchecked, a float count failed later in the sampler with a bare
+    # TypeError, and True ran one sample.
+    with pytest.raises(DomainError, match="integer"):
+        McConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = McConfig(np.int64(10), seed=np.int32(3))
+    assert mc_expected_det(MatchingProblem((1, 1), (1, 1)), cfg).samples == 10
+
+
 def test_config_output_is_keyword_only():
     # A third positional argument must not be taken as an output path,
     # where an integer would be opened as a file descriptor.

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import sys
 
@@ -302,7 +301,7 @@ def test_default_profile_shares_one_memo_entry():
     implicit = tube_volume(space, 0.3)
     explicit = tube_volume(space, 0.3, profile=variance_profile(
         DEFAULT_PROFILE, space.degrees))
-    assert implicit.to_json() == explicit.to_json()
+    assert implicit.to_json_dict() == explicit.to_json_dict()
     assert memo_size() == len(implicit.terms)
 
 
@@ -424,7 +423,7 @@ def test_tube_volume_profile_switch():
 def test_tube_report_json_and_csv(tmp_path):
     space = SpaceSpec((1, 1), (1, 1))
     report = tube_volume(space, 0.2)
-    doc = json.loads(report.to_json())
+    doc = report.to_json_dict()
     assert doc["conventions"] == {"exponent": "corrected",
                                   "minor_mode": "corrected",
                                   "profile": "def-d"}
