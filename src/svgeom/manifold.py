@@ -345,6 +345,42 @@ def _top_abs_eigenvalue(a: dict, n: int) -> Array:
     return np.max(np.abs([a[p, p] for p in range(n)]), axis=0)
 
 
+def _grid_angles(d: int) -> Array:
+    """The 2d + 1 angles k pi / (d + 1) at which binary d-forms are sampled
+    on the circle."""
+    return math.pi * np.arange(2 * d + 1) / (d + 1)
+
+
+def _turned_frame(samples: Array, d: int, j: int) -> tuple[Array, Array]:
+    """Turn each binary d-form g, given by its values at the
+    `_grid_angles`, by the grid angle phi = k pi / (d + 1), k <= d, whose
+    turned form has the largest |coefficient j| in the orthonormal basis.
+    Returns phi and the monomial coefficients a of the turned form,
+    g(theta + phi) = sum_i a_i cos(theta)^(d-i) sin(theta)^i, one row per
+    form.
+
+    The turned form's values at the first d + 1 grid angles are the
+    samples k to k + d, so every turn is a solve with the same matrix.
+    """
+    angles = _grid_angles(d)
+    circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    frames = (samples[:, np.add.outer(np.arange(d + 1), np.arange(d + 1))]
+              @ np.linalg.inv(veronese_coeffs(circle[:d + 1], d)).T)
+    k = np.argmax(np.abs(frames[:, :, j]), axis=1)
+    turned = frames[np.arange(samples.shape[0]), k]
+    return angles[k], turned * sqrt_multinomials(1, d)
+
+
+def _real_parts_of_roots(q: Array) -> Array:
+    """Real parts of the roots of each row's polynomial sum_i q_i t^i, its
+    leading coefficient last, from the eigenvalues of its companion matrix.
+    A zero leading coefficient is taken as one."""
+    d = q.shape[1] - 1
+    comp = np.broadcast_to(np.eye(d, k=-1), (q.shape[0], d, d)).copy()
+    comp[:, :, -1] = -q[:, :-1] / np.where(q[:, -1:] == 0.0, 1.0, q[:, -1:])
+    return np.linalg.eigvals(comp).real
+
+
 def _maximize_on_circle(c: Array, d: int, ell: Array, u: Array) -> Array:
     """Global maximizer of |p(x)| = |<c, veronese(x, d)>| on each great
     circle x = cos(theta) ell + sin(theta) u, for orthonormal ell and u.
@@ -357,21 +393,16 @@ def _maximize_on_circle(c: Array, d: int, ell: Array, u: Array) -> Array:
     root's real part is a candidate, as a nearly double root may split.
     """
     rows = np.arange(c.shape[0])
-    angles = math.pi * np.arange(2 * d + 1) / (d + 1)
+    angles = _grid_angles(d)
     cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
     circle = cos * ell[:, None, :] + sin * u[:, None, :]
     on_circle = np.einsum("mka,ma->mk", veronese_coeffs(circle, d), c)
-    frames = (on_circle[:, np.add.outer(np.arange(d + 1), np.arange(d + 1))]
-              @ np.linalg.inv(veronese_coeffs(np.hstack([cos, sin])[:d + 1], d)).T)
-    k = np.argmax(np.abs(frames[:, :, d - 1]), axis=1)
-    a = frames[rows, k] * sqrt_multinomials(1, d)
+    phi, a = _turned_frame(on_circle, d, d - 1)
     a_pad = np.pad(a, ((0, 0), (1, 1)))
     q = np.arange(1, d + 2) * a_pad[:, 2:] - np.arange(d + 1, 0, -1) * a_pad[:, :-2]
-    comp = np.broadcast_to(np.eye(d, k=-1), (c.shape[0], d, d)).copy()
-    comp[:, :, -1] = -q[:, :-1] / np.where(q[:, -1:] == 0.0, 1.0, q[:, -1:])
-    t = np.linalg.eigvals(comp).real
+    t = _real_parts_of_roots(q)
     values = polyval(t.T, a.T, tensor=False).T / (1.0 + t * t) ** (d / 2)
-    theta = angles[k] + np.arctan(t[rows, np.argmax(np.abs(values), axis=1)])
+    theta = phi + np.arctan(t[rows, np.argmax(np.abs(values), axis=1)])
     return np.cos(theta)[:, None] * ell + np.sin(theta)[:, None] * u
 
 
@@ -496,6 +527,60 @@ def _binary_times_linear(t: Array, d: int) -> Array:
                           axis=1)
 
 
+def _pencil_top_singular_value(t: Array) -> Array:
+    """max <t, x (x) y (x) z> over unit x, y in R^2 and unit z, for each
+    (2, 2, m + 1) array t of a batch: the maximum over theta of the top
+    singular value s_1 of the 2 x (m + 1) pencil
+    M(theta) = cos(theta) t[0] + sin(theta) t[1].
+
+    The Gram entries p = ||m_0||^2, q = ||m_1||^2 and r = <m_0, m_1> of the
+    rows of M are binary quadratics.  With F = p + q and
+    D = (p - q)^2 + 4 r^2, s_1^2 = (F + sqrt(D)) / 2 and
+    F'^2 D - (D'/2)^2 = 4 (s_1^2)' (s_2^2)' (s_1^2 - s_2^2)^2, a binary
+    octic whose real roots hold every critical angle of s_1.  It is built
+    from D, not from pq - r^2, which cancels where s_1 is close to s_2, and
+    sampled from the coefficients of p - q, r and F, formed once: D and D'
+    then belong to one quartic, and a nearly double root stays nearly
+    double.  The octic vanishes identically only where s_1 or s_2 is
+    constant or s_1 = s_2, and there the maximizer theta_F of F also
+    maximizes s_1, so theta_F is always a candidate.  The value is s_1 at
+    the best candidate, which the rank-one point of its top singular
+    vectors attains.
+    """
+    g = np.einsum("mxyc,mzwc->mxyzw", t, t)
+
+    def gram(y, w):
+        """<m_y, m_w> on the monomials cos^2, cos sin, sin^2."""
+        return np.stack([g[:, 0, y, 0, w], g[:, 0, y, 1, w] + g[:, 1, y, 0, w],
+                         g[:, 1, y, 1, w]], axis=1)
+
+    def derivative(c):
+        """The theta-derivative of a quadratic on the same monomials."""
+        return np.stack([c[:, 1], 2.0 * (c[:, 2] - c[:, 0]), -c[:, 1]], axis=1)
+
+    def monomials(theta):
+        cos, sin = np.cos(theta), np.sin(theta)
+        return cos * cos, cos * sin, sin * sin
+
+    def at(c, mono):
+        return (c[:, 0, None] * mono[0] + c[:, 1, None] * mono[1]
+                + c[:, 2, None] * mono[2])
+
+    f, e, r = gram(0, 0) + gram(1, 1), gram(0, 0) - gram(1, 1), gram(0, 1)
+    grid = monomials(_grid_angles(8)[None, :])
+    ek, rk = at(e, grid), at(r, grid)
+    octic = (at(derivative(f), grid) ** 2 * (ek * ek + 4.0 * rk * rk)
+             - (ek * at(derivative(e), grid)
+                + 4.0 * rk * at(derivative(r), grid)) ** 2)
+    phi, w = _turned_frame(octic, 8, 8)
+    theta = np.concatenate([phi[:, None] + np.arctan(_real_parts_of_roots(w)),
+                            0.5 * np.arctan2(f[:, 1:2], f[:, :1] - f[:, 2:])],
+                           axis=1)
+    best = monomials(theta)
+    return np.max(np.sqrt(at(f, best) / 2.0
+                          + np.hypot(at(e, best) / 2.0, at(r, best))), axis=1)
+
+
 # Restarts of the alternating maximization in `max_correlation_batch`.
 BATCH_RESTARTS = 8
 
@@ -519,6 +604,10 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
       either order: the linear factor is eliminated, which leaves one
       binary form of twice the degree on the circle
       (`_binary_times_linear`).
+    - Three degree-one factors, two of them binary, in any order: the
+      largest top singular value of the pencil of matrices that the
+      binary factors span, over the circle of one of them
+      (`_pencil_top_singular_value`).
 
     Every other space runs the batched alternating maximization with
     BATCH_RESTARTS restarts, which can end at a local maximum."""
@@ -539,7 +628,9 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
     linear = degrees.index(1) if space.r == 2 and 1 in degrees else None
     binary_linear = (linear is not None and dims[1 - linear] == 1
                      and degrees[1 - linear] >= 2)
-    if not (quadratic or binary or binary_linear or degrees == (1, 1)):
+    pencil = degrees == (1, 1, 1) and dims.count(1) >= 2
+    if not (quadratic or binary or binary_linear or pencil
+            or degrees == (1, 1)):
         return _best_rank_one(space, points, BATCH_RESTARTS, 200)[0]
     # The exact kernels square entries (Jacobi's stopping rule, the Gram
     # matrices) or raise them to the degree, so each row is scaled to
@@ -560,6 +651,11 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
         if linear == 0:
             t = t.swapaxes(1, 2)
         return scale * _binary_times_linear(t, degrees[1 - linear])
+    if pencil:
+        binary_first = sorted(range(3), key=lambda i: dims[i] != 1)
+        t = unit.reshape(-1, *space.factor_dims).transpose(
+            0, *(1 + i for i in binary_first))
+        return scale * _pencil_top_singular_value(t)
     x = np.ascontiguousarray(unit.T).reshape(*space.factor_dims, -1)
     if x.shape[0] > x.shape[1]:
         x = x.swapaxes(0, 1)

@@ -334,20 +334,25 @@ def test_batch_matches_generic_optimizer(dims, degrees):
         assert res.correlation == pytest.approx(float(expected), abs=1e-8)
 
 
-# Spaces whose correlation is one binary form on the circle: one binary
-# factor, or a binary factor times a degree-one factor in either order.
+# Spaces whose correlation is a maximum over one circle: one binary
+# factor, a binary factor times a degree-one factor in either order, and
+# three degree-one factors, two of them binary, with the wide factor last,
+# first or in the middle.
 BINARY_SPACES = [((1,), (3,)), ((1,), (5,)), ((1, 1), (2, 1)),
-                 ((1, 2), (3, 1)), ((3, 1), (1, 4))]
+                 ((1, 2), (3, 1)), ((3, 1), (1, 4)), ((1, 1, 1), (1, 1, 1)),
+                 ((2, 1, 1), (1, 1, 1)), ((1, 3, 1), (1, 1, 1))]
 
 # One space per path of max_correlation_batch: the norm, binary-quadratic
 # and square-Gram paths, the binary-times-linear and binary-form paths, the
 # kernel's higher-degree factor update, the quadratic-form and
-# rectangular-Gram paths of the Jacobi kernel, then the kernel's degree-one,
-# degree-two and binary factor updates and the binary-times-linear path
-# with the linear factor first.
+# rectangular-Gram paths of the Jacobi kernel, the pencil path of two
+# binary degree-one factors, the kernel's degree-two and binary factor
+# updates, the binary-times-linear path with the linear factor first, and
+# the kernel's degree-one factor update.
 PATH_SPACES = [((2,), (1,)), ((1,), (2,)), ((1, 1), (1, 1)), ((1, 1), (2, 1)),
                ((1,), (3,)), ((2,), (3,)), ((2,), (2,)), ((2, 1), (1, 1)),
-               ((1, 1, 1), (1, 1, 1)), ((1, 1), (2, 3)), ((3, 1), (1, 4))]
+               ((1, 1, 1), (1, 1, 1)), ((1, 1), (2, 3)), ((3, 1), (1, 4)),
+               ((2, 2, 1), (1, 1, 1))]
 
 
 @pytest.mark.parametrize("dims,degrees", PATH_SPACES)
@@ -514,7 +519,8 @@ def test_binary_forms_match_circle_scan(d):
 
 @pytest.mark.parametrize("dims,degrees", [((1, 1), (2, 1)), ((1, 1, 1), (1, 1, 1)),
                                           ((2, 1), (1, 2)), ((2,), (3,)),
-                                          ((1, 1), (2, 3))])
+                                          ((1, 1), (2, 3)),
+                                          ((2, 2, 1), (1, 1, 1))])
 def test_kernel_beats_random_rank_one_search(dims, degrees):
     space = SpaceSpec(dims, degrees)
     rng = np.random.default_rng(18)
@@ -591,6 +597,62 @@ def test_binary_paths_are_homogeneous_at_extreme_scales(dims, degrees):
     for scale in (1e-200, 1e200):
         got = max_correlation_batch(space, scale * points) / scale
         assert np.all(np.abs(got - base) <= 1e-14 * base)
+
+
+def _pencil_scan(t):
+    """max over theta of the top singular value of the pencil
+    cos(theta) t[0] + sin(theta) t[1], per (2, a, b) array t of a batch:
+    LAPACK's svd on 720 angles in [0, pi), then 60 golden-section steps
+    around the best of them."""
+    def top(theta):
+        cos, sin = np.cos(theta)[..., None, None], np.sin(theta)[..., None, None]
+        return np.linalg.svd(cos * t[:, None, 0] + sin * t[:, None, 1],
+                             compute_uv=False)[..., 0]
+
+    grid = np.linspace(0.0, math.pi, 720, endpoint=False)
+    values = top(np.broadcast_to(grid, (t.shape[0], grid.size)))
+    step = grid[1]
+    lo = grid[np.argmax(values, axis=1)][:, None] - step
+    hi = lo + 2.0 * step
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):
+        a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        left = top(a) > top(b)
+        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+    return np.maximum(np.max(values, axis=1), top(lo)[:, 0])
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_degenerate_pencils_are_not_below_hopm_or_a_scan(m):
+    # Rows of (1,1,m)/(1,1,1) as pencils t[0], t[1] of 2 x (m + 1)
+    # matrices: t[1] = 0, and orthogonal pencils U (I, cJ) V, J the quarter
+    # turn, turned by a random angle in the first factor, on which
+    # s_1 = s_2 at every angle with an amplitude that varies unless c = 1;
+    # then the same pencils with noise of 1e-9 and 1e-6.
+    space = SpaceSpec((1, 1, m), (1, 1, 1))
+    rng = np.random.default_rng(25)
+    count = 150
+    flat = rng.standard_normal((count, 2, 2 * (m + 1)))
+    flat[:, 1] = 0.0
+    u = np.linalg.qr(rng.standard_normal((count, 2, 2)))[0]
+    v = np.swapaxes(np.linalg.qr(rng.standard_normal((count, m + 1, 2)))[0],
+                    1, 2)
+    c = rng.uniform(0.2, 3.0, (count, 1, 1))
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    t0, t1 = u @ v, c * (u @ quarter @ v)
+    turn = rng.uniform(0.0, 2.0 * math.pi, (count, 1, 1))
+    cos, sin = np.cos(turn), np.sin(turn)
+    pencils = np.stack([cos * t0 - sin * t1, sin * t0 + cos * t1],
+                       axis=1).reshape(count, -1)
+    rows = np.concatenate(
+        [flat.reshape(count, -1), pencils]
+        + [pencils + s * rng.standard_normal(pencils.shape)
+           for s in (1e-9, 1e-6)])
+    got = max_correlation_batch(space, rows)
+    assert np.all(got >= _best_rank_one(space, rows, 40, 500)[0] - 1e-14)
+    # Alternating maximization converges slowly where s_1 = s_2 and stops
+    # up to 7e-7 low on these rows, so the scan is the sharper floor.
+    assert np.all(got >= _pencil_scan(rows.reshape(-1, 2, 2, m + 1)) - 1e-14)
 
 
 def test_rank_one_distance_flags_non_convergence():
