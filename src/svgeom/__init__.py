@@ -12,14 +12,11 @@ from .bw_algebra import (
     angular_distance,
     apply_orthogonal,
     basis_rank,
-    basis_unrank,
     bw_inner,
     evaluate,
     gaussian_tensor,
     multi_indices,
     random_orthogonal,
-    tensor_from_json,
-    tensor_to_json,
 )
 from .errors import DomainError, ResourceError
 from .geodesics_reach import (

@@ -16,7 +16,6 @@ products of factor coefficient vectors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -60,14 +59,6 @@ def basis_rank(alpha: tuple[int, ...], n: int, d: int) -> int:
     if len(alpha) != n + 1 or any(a < 0 for a in alpha) or sum(alpha) != d:
         raise DomainError(f"invalid multi-index {alpha} for n={n}, d={d}")
     return _rank_table(n, d)[alpha]
-
-
-def basis_unrank(rank: int, n: int, d: int) -> tuple[int, ...]:
-    """Inverse of :func:`basis_rank`."""
-    table = multi_indices(n, d)
-    if not 0 <= rank < len(table):
-        raise DomainError(f"rank {rank} out of range for n={n}, d={d}")
-    return table[rank]
 
 
 @lru_cache(maxsize=None)
@@ -317,19 +308,3 @@ def kron_all(vectors) -> Array:
     """Kronecker product of coefficient vectors, in factor order."""
     return reduce(np.kron, vectors)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def tensor_to_json(f: Tensor) -> str:
-    """JSON form {dims, degrees, coeffs}; round-trips finite doubles exactly."""
-    doc = f.space.to_json_dict()
-    doc["coeffs"] = [float(c) for c in f.coeffs]
-    return json.dumps(doc)
-
-
-def tensor_from_json(text: str) -> Tensor:
-    doc = json.loads(text)
-    space = SpaceSpec(tuple(doc["dims"]), tuple(doc["degrees"]))
-    return Tensor(space, np.array(doc["coeffs"], dtype=float))

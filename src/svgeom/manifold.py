@@ -286,63 +286,51 @@ def _quadratic_form_entries(columns: Array, n: int) -> dict:
 def _quadratic_form_matrices(coeffs: Array, n: int) -> Array:
     """Symmetric matrices m with value(ell) = ell^T m ell, one per row of
     a (batch, coefficients) array of quadratics."""
-    mats = np.zeros((coeffs.shape[0], n + 1, n + 1))
-    for (j, k), entry in _quadratic_form_entries(coeffs.T, n).items():
-        mats[:, j, k] = mats[:, k, j] = entry
+    return _symmetric_matrices(_quadratic_form_entries(coeffs.T, n), n + 1)
+
+
+def _gram_entries(space: SpaceSpec, rows: Array) -> dict:
+    """Upper-triangle entries (p, q) -> values of the Gram matrix x x^T of
+    each row x of a two-factor degree-one space, taken as a matrix with the
+    smaller factor first."""
+    x = np.ascontiguousarray(rows.T).reshape(*space.factor_dims, -1)
+    if x.shape[0] > x.shape[1]:
+        x = x.swapaxes(0, 1)
+    n = x.shape[0]
+    return {(p, q): np.einsum("kb,kb->b", x[p], x[q])
+            for p in range(n) for q in range(p, n)}
+
+
+def _symmetric_matrices(a: dict, n: int) -> Array:
+    """The (batch, n, n) matrices of upper-triangle entries a[p, q], p <= q,
+    each an array over the batch."""
+    mats = np.empty(a[0, 0].shape + (n, n))
+    for (p, q), entry in a.items():
+        mats[:, p, q] = mats[:, q, p] = entry
     return mats
 
 
-# Sweep cap of `_top_abs_eigenvalue`, so that no input loops forever (a NaN
-# entry never meets the stopping rule).  Batches of 8,192 matrices of size
-# 3 to 5, random or with double, opposite-sign or clustered top
-# eigenvalues, converge in 2 to 6 sweeps.
-JACOBI_MAX_SWEEPS = 30
+def _is_positive_definite(a: dict, n: int) -> Array:
+    """Whether each of a batch of symmetric n x n matrices, stored
+    struct-of-arrays as upper-triangle entries a[p, q], p <= q, each an
+    array over the batch, is positive definite.
 
-
-def _top_abs_eigenvalue(a: dict, n: int) -> Array:
-    """Largest |eigenvalue| of each of a batch of symmetric n x n matrices
-    stored struct-of-arrays: a[p, q], p <= q, is the array of entry (p, q)
-    over the batch.
-
-    Cyclic Jacobi (Golub and Van Loan, Matrix Computations, section 8.5)
-    on the whole batch at once.  Each rotation zeroes a_pq with
-    t = tan(angle) = 2 a_pq / (h + copysign(hypot(h, 2 a_pq), h)),
-    h = a_qq - a_pp, the smaller root, which neither overflows nor divides
-    by a small a_pq (t = 0 when h = a_pq = 0), and updates the other
-    entries in Rutishauser's form.  The sweeps stop once the off-diagonal
-    mass of every matrix is at most (1e-16 ||A||_F)^2, or after
-    JACOBI_MAX_SWEEPS; the diagonal then holds the eigenvalues.
+    Gaussian elimination without pivoting: the k-th pivot is the ratio of
+    the k-th and (k-1)-th leading principal minors, so by Sylvester's
+    criterion a matrix is positive definite exactly when every pivot is
+    positive.  A matrix stops counting at its first pivot <= 0, after which
+    its entries are updated with pivot 1, so nothing divides by zero.
     """
     a = dict(a)  # entries are rebound, never written: the caller's stay
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-
-    def off_mass():
-        return 2.0 * sum(a[pq] * a[pq] for pq in pairs)
-
-    limit = 1e-32 * (sum(a[p, p] * a[p, p] for p in range(n)) + off_mass())
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if np.all(off_mass() <= limit):
-            break
-        for p, q in pairs:
-            apq = a[p, q]
-            h = a[q, q] - a[p, p]
-            denom = h + np.copysign(np.hypot(h, 2.0 * apq), h)
-            t = np.divide(2.0 * apq, denom, out=np.zeros_like(denom),
-                          where=denom != 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            tau = s / (1.0 + c)
-            shift = t * apq
-            a[p, p] = a[p, p] - shift
-            a[q, q] = a[q, q] + shift
-            a[p, q] = np.zeros_like(apq)
-            for r in range(n):
-                if r != p and r != q:
-                    rp, rq = (min(r, p), max(r, p)), (min(r, q), max(r, q))
-                    g, k = a[rp], a[rq]
-                    a[rp] = g - s * (k + g * tau)
-                    a[rq] = k + s * (g - k * tau)
-    return np.max(np.abs([a[p, p] for p in range(n)]), axis=0)
+    definite = np.ones(a[0, 0].shape, dtype=bool)
+    for k in range(n):
+        definite &= a[k, k] > 0.0
+        inverse = 1.0 / np.where(definite, a[k, k], 1.0)
+        for i in range(k + 1, n):
+            ratio = a[k, i] * inverse
+            for j in range(i, n):
+                a[i, j] = a[i, j] - ratio * a[k, j]
+    return definite
 
 
 def _grid_angles(d: int) -> Array:
@@ -594,10 +582,10 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
     - One factor of degree two: the largest |eigenvalue| of the quadratic
       form.  For binary quadratics c0 x^2 + sqrt(2) c1 x y + c2 y^2 it is
       the closed form |c0 + c2|/2 + hypot((c0 - c2)/2, c1/sqrt(2)), else
-      the Jacobi kernel `_top_abs_eigenvalue`.
+      LAPACK `eigvalsh` on the form's matrix.
     - Two degree-one factors: the top singular value of the row as a
       matrix, the square root of the largest eigenvalue of its Gram matrix
-      on the smaller side, from the same kernel.
+      on the smaller side, also from `eigvalsh`.
     - One binary factor of degree three or more: |p| at the global
       maximizer `_maximize_on_circle` finds on the whole circle.
     - A binary factor of degree two or more and a degree-one factor, in
@@ -610,7 +598,11 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
       (`_pencil_top_singular_value`).
 
     Every other space runs the batched alternating maximization with
-    BATCH_RESTARTS restarts, which can end at a local maximum."""
+    BATCH_RESTARTS restarts, which can end at a local maximum.
+
+    `mc_tube_volume` needs only whether a unit row's value exceeds a
+    threshold, and on the quadratic and Gram spaces it decides that with
+    `_is_positive_definite` instead of calling this function."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != space.ambient_dim:
         raise DomainError("batch shape does not match the space")
@@ -632,16 +624,14 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
     if not (quadratic or binary or binary_linear or pencil
             or degrees == (1, 1)):
         return _best_rank_one(space, points, BATCH_RESTARTS, 200)[0]
-    # The exact kernels square entries (Jacobi's stopping rule, the Gram
-    # matrices) or raise them to the degree, so each row is scaled to
-    # largest |entry| 1 first: otherwise entries beyond about 1e+-150
-    # underflow or overflow them.
+    # The exact kernels square entries (the Gram matrices) or raise them
+    # to the degree, so each row is scaled to largest |entry| 1 first:
+    # otherwise entries beyond about 1e+-150 underflow or overflow them.
     scale = np.max(np.abs(points), axis=1, initial=0.0)
     unit = points / np.where(scale > 0.0, scale, 1.0)[:, None]
     if quadratic:
-        n = dims[0]
-        return scale * _top_abs_eigenvalue(
-            _quadratic_form_entries(np.ascontiguousarray(unit.T), n), n + 1)
+        lam = np.linalg.eigvalsh(_quadratic_form_matrices(unit, dims[0]))
+        return scale * np.maximum(-lam[:, 0], lam[:, -1])
     if binary:
         x = _circle_maximizer(unit, degrees[0])
         return scale * np.abs(np.einsum("ma,ma->m", unit,
@@ -656,10 +646,6 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
         t = unit.reshape(-1, *space.factor_dims).transpose(
             0, *(1 + i for i in binary_first))
         return scale * _pencil_top_singular_value(t)
-    x = np.ascontiguousarray(unit.T).reshape(*space.factor_dims, -1)
-    if x.shape[0] > x.shape[1]:
-        x = x.swapaxes(0, 1)
-    n = x.shape[0]
-    gram = {(p, q): np.einsum("kb,kb->b", x[p], x[q])
-            for p in range(n) for q in range(p, n)}
-    return scale * np.sqrt(_top_abs_eigenvalue(gram, n))
+    gram = _symmetric_matrices(_gram_entries(space, unit),
+                               min(space.factor_dims))
+    return scale * np.sqrt(np.linalg.eigvalsh(gram)[:, -1])

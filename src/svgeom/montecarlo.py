@@ -17,7 +17,12 @@ import numpy as np
 
 from .bw_algebra import SpaceSpec
 from .errors import DomainError, ResourceError
-from .manifold import max_correlation_batch
+from .manifold import (
+    _gram_entries,
+    _is_positive_definite,
+    _quadratic_form_entries,
+    max_correlation_batch,
+)
 from .matchings import MatchingProblem
 from .tube import _check_radius, sphere_volume
 from .weingarten import (
@@ -140,8 +145,40 @@ class McVolume:
     volume: float
     std_error: float
     fraction: float
+    hits: int
     samples: int
     seed: int
+
+
+def _shifted(a: dict, diagonal: float, sign: float) -> dict:
+    """The entries of diagonal I + sign A, from upper-triangle entries of A."""
+    return {(p, q): diagonal + sign * e if p == q else sign * e
+            for (p, q), e in a.items()}
+
+
+def _hits(space: SpaceSpec, points: np.ndarray,
+          threshold: float) -> np.ndarray:
+    """Whether each unit row's best rank-one correlation exceeds a threshold
+    cos(eps) >= 0.
+
+    For quadratic forms in three or more variables the correlation is the
+    largest |eigenvalue| of the form's matrix A, so a row hits exactly when
+    threshold I - A or threshold I + A is not positive definite; for two
+    degree-one factors it is the square root of the largest eigenvalue of
+    the Gram matrix G, and a row hits exactly when threshold^2 I - G is
+    not.  Neither needs rescaling, as the rows are unit.  Every other space
+    compares `max_correlation_batch` with the threshold.
+    """
+    if space.degrees == (2,) and space.dims != (1,):
+        n = space.dims[0]
+        a = _quadratic_form_entries(points.T, n)
+        definite = _is_positive_definite(_shifted(a, threshold, -1.0), n + 1)
+        return ~(definite & _is_positive_definite(_shifted(a, threshold, 1.0),
+                                                   n + 1))
+    if space.degrees == (1, 1):
+        gram = _shifted(_gram_entries(space, points), threshold ** 2, -1.0)
+        return ~_is_positive_definite(gram, min(space.factor_dims))
+    return max_correlation_batch(space, points) > threshold
 
 
 def mc_tube_volume(space: SpaceSpec, eps: float, cfg: McConfig) -> McVolume:
@@ -150,7 +187,10 @@ def mc_tube_volume(space: SpaceSpec, eps: float, cfg: McConfig) -> McVolume:
     Draws normalized Gaussians on the ambient sphere, counts those whose
     best rank-one correlation exceeds cos(eps), and scales the hit fraction
     by the sphere volume.  The standard error comes from the binomial
-    variance of the hit count.
+    variance of the hit count.  On quadratic spaces other than (1,)/(2,)
+    and on two degree-one factors, a row's hit is decided by a
+    positive-definiteness test (`_hits`), which agrees with the correlation
+    except on rows within rounding of cos(eps).
     """
     if space.ambient_dim > MC_TUBE_AMBIENT_CAP:
         raise ResourceError(
@@ -162,11 +202,10 @@ def mc_tube_volume(space: SpaceSpec, eps: float, cfg: McConfig) -> McVolume:
     for rng, count in _batch_streams(cfg):
         points = rng.standard_normal((count, space.ambient_dim))
         points /= np.linalg.norm(points, axis=1, keepdims=True)
-        corr = max_correlation_batch(space, points)
-        hits += int(np.count_nonzero(corr > threshold))
+        hits += int(np.count_nonzero(_hits(space, points, threshold)))
     fraction = hits / cfg.samples
     total = sphere_volume(space.sphere_dim)
     volume = fraction * total
     std_error = total * math.sqrt(max(fraction * (1.0 - fraction), 0.0)
                                   / cfg.samples)
-    return McVolume(volume, std_error, fraction, cfg.samples, cfg.seed)
+    return McVolume(volume, std_error, fraction, hits, cfg.samples, cfg.seed)

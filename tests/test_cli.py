@@ -249,6 +249,7 @@ def test_mc_tube_subcommand(capsys):
     assert code == 0
     expected = 4 * math.sqrt(2) * math.pi * math.sin(0.3)
     assert abs(doc["volume"] - expected) <= 4 * doc["std_error"]
+    assert doc["fraction"] == doc["hits"] / 20000
 
 
 def test_seed_env_override(capsys, monkeypatch):

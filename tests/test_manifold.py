@@ -1,5 +1,4 @@
 import math
-import threading
 import warnings
 
 import numpy as np
@@ -30,11 +29,8 @@ from svgeom import (
     veronese_embed,
 )
 from svgeom.bw_algebra import multi_indices, veronese_coeffs
-from svgeom.manifold import (
-    _best_rank_one,
-    _quadratic_form_matrices,
-    _top_abs_eigenvalue,
-)
+from svgeom.manifold import _best_rank_one, _quadratic_form_matrices
+from svgeom.montecarlo import _hits
 
 SMALL_SPACES = [((1,), (2,)), ((2,), (3,)), ((1, 1), (1, 1)), ((1, 1), (2, 1)),
                 ((2, 1), (1, 2))]
@@ -345,7 +341,7 @@ BINARY_SPACES = [((1,), (3,)), ((1,), (5,)), ((1, 1), (2, 1)),
 # One space per path of max_correlation_batch: the norm, binary-quadratic
 # and square-Gram paths, the binary-times-linear and binary-form paths, the
 # kernel's higher-degree factor update, the quadratic-form and
-# rectangular-Gram paths of the Jacobi kernel, the pencil path of two
+# rectangular-Gram paths that call eigvalsh, the pencil path of two
 # binary degree-one factors, the kernel's degree-two and binary factor
 # updates, the binary-times-linear path with the linear factor first, and
 # the kernel's degree-one factor update.
@@ -413,25 +409,30 @@ def _form_coefficients(mats):
     return rows
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_jacobi_quadratic_form_matches_eigvalsh(n):
-    rng = np.random.default_rng(20 + n)
-    space = SpaceSpec((n,), (2,))
-    rows = rng.standard_normal((100_000, space.ambient_dim))
-    # orthogonal conjugates of diagonal matrices with a double top
-    # eigenvalue and with an opposite-sign top pair
+def _adversarial_form_rows(n, rng):
+    """100,000 Gaussian coefficient rows of (n,)/(2,), the first 3,010 of
+    them hard cases for an eigenvalue or definiteness routine: 1,000 with
+    a double top eigenvalue, 1,000 with an opposite-sign top pair, 1,000
+    diagonal forms (every off-diagonal entry 0) and 10 zero rows."""
+    rows = rng.standard_normal((100_000, (n + 1) * (n + 2) // 2))
     q = np.linalg.qr(rng.standard_normal((2000, n + 1, n + 1)))[0]
     lam = rng.uniform(-0.5, 0.5, (2000, n + 1))
     lam[:1000, 1] = lam[:1000, 0] = 2.0 * np.sign(lam[:1000, 0])
     lam[1000:, 0], lam[1000:, 1] = 2.0, -2.0
     rows[:2000] = _form_coefficients(q * lam[:, None, :]
                                      @ np.swapaxes(q, 1, 2))
-    # diagonal forms (every a_pq = 0) and zero rows
     diagonal = [rank for rank, alpha in enumerate(multi_indices(n, 2))
                 if max(alpha) == 2]
     rows[2000:3000] = 0.0
     rows[2000:3000, diagonal] = rng.standard_normal((1000, n + 1))
     rows[3000:3010] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_jacobi_quadratic_form_matches_eigvalsh(n):
+    space = SpaceSpec((n,), (2,))
+    rows = _adversarial_form_rows(n, np.random.default_rng(20 + n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = max_correlation_batch(space, rows)
@@ -441,26 +442,70 @@ def test_jacobi_quadratic_form_matches_eigvalsh(n):
     assert np.all(got[3000:3010] == 0.0)
 
 
-def test_jacobi_sweep_cap_ends_the_loop():
-    # A NaN entry never meets the stopping rule; only the cap ends the loop.
-    nan = np.array([np.nan, 1.0])
-    entries = {(0, 0): nan, (0, 1): np.ones(2), (1, 1): np.ones(2)}
-    out = []
+def _decision_rows(space, rng):
+    """100,000 unit rows of (n,)/(2,) or (a,b)/(1,1) whose first rows are
+    hard cases for a definiteness test: for quadratic forms, those of
+    `_adversarial_form_rows`, 1,000 with a negative dominant eigenvalue and
+    1,000 rank-one forms +-v v^T; for matrices, 1,000 rank-one rows, 1,000
+    with a double top singular value (when both sides exceed one), 1,000
+    diagonal rows and 10 zero rows."""
+    if space.degrees == (2,):
+        n = space.dims[0]
+        rows = _adversarial_form_rows(n, rng)
+        q = np.linalg.qr(rng.standard_normal((1000, n + 1, n + 1)))[0]
+        lam = rng.uniform(-0.5, 0.5, (1000, n + 1))
+        lam[:, 0] = -2.0
+        rows[3010:4010] = _form_coefficients(q * lam[:, None, :]
+                                             @ np.swapaxes(q, 1, 2))
+        v = rng.standard_normal((1000, n + 1))
+        sign = rng.choice([-1.0, 1.0], (1000, 1, 1))
+        rows[4010:5010] = _form_coefficients(sign * v[:, :, None]
+                                             * v[:, None, :])
+    else:
+        a, b = space.factor_dims
+        k = min(a, b)
+        rows = rng.standard_normal((100_000, a * b))
+        rows[:1000] = (rng.standard_normal((1000, a, 1))
+                       * rng.standard_normal((1000, 1, b))).reshape(1000, -1)
+        u = np.linalg.qr(rng.standard_normal((1000, a, k)))[0]
+        w = np.linalg.qr(rng.standard_normal((1000, b, k)))[0]
+        s = rng.uniform(0.0, 0.5, (1000, k))
+        s[:, :2] = 2.0
+        rows[1000:2000] = (u * s[:, None, :]
+                           @ np.swapaxes(w, 1, 2)).reshape(1000, -1)
+        rows[2000:3000] = 0.0
+        diagonal = [i * b + i for i in range(k)]
+        rows[2000:3000, diagonal] = rng.standard_normal((1000, k))
+        rows[3000:3010] = 0.0
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.where(norms > 0.0, norms, 1.0)
 
-    def run():
-        with np.errstate(invalid="ignore"):
-            out.append(_top_abs_eigenvalue(entries, 2))
 
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout=30.0)
-    assert not worker.is_alive()
-    assert np.isnan(out[0][0]) and out[0][1] == pytest.approx(2.0, abs=1e-15)
+@pytest.mark.parametrize("dims,degrees", [((2,), (2,)), ((3,), (2,)),
+                                          ((1, 1), (1, 1)), ((2, 2), (1, 1)),
+                                          ((3, 2), (1, 1)), ((1, 5), (1, 1))])
+def test_definiteness_decision_matches_correlation(dims, degrees):
+    # The Monte Carlo hit test of these spaces is a positive-definiteness
+    # decision; it must equal corr > tau wherever corr is not within
+    # rounding of tau, at the cosines of fixed radii and 1e-9 on either
+    # side of each row's own correlation.  Thresholds are cosines of radii
+    # in (0, pi/2], so never negative.
+    space = SpaceSpec(dims, degrees)
+    rows = _decision_rows(space, np.random.default_rng(24))
+    corr = max_correlation_batch(space, rows)
+    radii = (0.05, 0.2, 0.4, 0.6, math.pi / 4, 1.2, math.pi / 2)
+    for tau in [math.cos(eps) for eps in radii] + [
+            np.maximum(corr - 1e-9, 0.0), corr + 1e-9]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _hits(space, rows, tau)
+        far = np.abs(corr - tau) > 1e-12
+        assert np.array_equal(got[far], (corr > tau)[far])
 
 
 @pytest.mark.parametrize("dims,degrees", [((2,), (2,)), ((3,), (2,)),
                                           ((2, 1), (1, 1)), ((2, 2), (1, 1))])
-def test_jacobi_paths_are_homogeneous_at_extreme_scales(dims, degrees):
+def test_eigvalsh_paths_are_homogeneous_at_extreme_scales(dims, degrees):
     # Squared entries of rows this small or large underflow or overflow.
     space = SpaceSpec(dims, degrees)
     points = np.random.default_rng(21).standard_normal((50, space.ambient_dim))

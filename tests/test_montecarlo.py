@@ -183,6 +183,26 @@ def test_tube_volume_cross_oracle_segre():
     assert abs(est.volume - expected) <= 3 * est.std_error
 
 
+@pytest.mark.parametrize("dims", [(1, 3), (3, 1)])
+@pytest.mark.parametrize("eps", [0.3, 0.6])
+def test_tube_volume_matches_sin_two_eps_power(dims, eps):
+    # On (1,m)/(1,1) the tube fills sin(2 eps)^m of the sphere for
+    # eps <= pi/4, a random-matrix identity that does not use the tube
+    # formula; (3,1) takes the Gram matrix on the other side.
+    space = SpaceSpec(dims, (1, 1))
+    est = mc_tube_volume(space, eps, McConfig(200_000, seed=23))
+    expected = math.sin(2.0 * eps) ** 3 * sphere_volume(space.sphere_dim)
+    assert abs(est.volume - expected) <= 4 * est.std_error
+
+
+def test_tube_volume_reports_its_hit_count():
+    for dims, degrees in (((1,), (2,)), ((2, 2), (1, 1)), ((1, 1), (2, 1))):
+        est = mc_tube_volume(SpaceSpec(dims, degrees), 0.4,
+                             McConfig(3000, seed=22))
+        assert isinstance(est.hits, int) and 0 < est.hits < est.samples
+        assert est.fraction == est.hits / est.samples
+
+
 def test_tube_at_right_angle_covers_sphere():
     # Every unit quadratic has best rank-one correlation >= 1/sqrt(2), so
     # the hit fraction saturates beyond the reach.

@@ -189,6 +189,37 @@ def test_gauss_bonnet_closure():
             pytest.approx(ratio, rel=1e-9)
 
 
+def test_segre_tube_fraction_is_a_power_of_sin_two_eps():
+    # On (1,m)/(1,1) the squared best rank-one correlation of a uniform
+    # unit 2 x (m+1) matrix is t = lambda_1 / (lambda_1 + lambda_2) for the
+    # eigenvalues of its real Wishart matrix, and u = 2t - 1 has density
+    # proportional to u (1 - u^2)^((m-2)/2) on [0, 1].  So for eps <= pi/4
+    # the tube fills exactly sin(2 eps)^m of the sphere, under every
+    # profile, as the profiles coincide at degree one.
+    radii = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, math.pi / 4)
+    for m in range(1, 9):
+        space = SpaceSpec((1, m), (1, 1))
+        sphere = sphere_volume(space.sphere_dim)
+        for eps in radii:
+            exact = math.sin(2.0 * eps) ** m
+            for name in PROFILE_NAMES:
+                report = tube_volume(space, eps, "corrected", "corrected",
+                                     variance_profile(name, space.degrees))
+                assert abs(report.volume / sphere - exact) <= 1e-12 * exact, \
+                    (m, eps, name, report.volume / sphere, exact)
+        # The paper exponent misses for every m (by 59-78 % at eps = 0.5),
+        # and the paper minor mode from m = 2 on (by 7-24 %).
+        exact = math.sin(1.0) ** m
+        paper_exponent = tube_volume(space, 0.5, "paper").volume / sphere
+        paper_minors = tube_volume(space, 0.5, "corrected",
+                                   "paper").volume / sphere
+        assert abs(paper_exponent / exact - 1.0) > 0.5
+        if m == 1:
+            assert paper_minors == pytest.approx(exact, rel=1e-12)
+        else:
+            assert abs(paper_minors / exact - 1.0) > 0.05
+
+
 def test_radial_integral_domain_checks():
     space = SpaceSpec((1,), (2,))
     with pytest.raises(DomainError):
