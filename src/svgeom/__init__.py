@@ -50,7 +50,6 @@ from .matchings import (
     matching_count,
     matching_determinant,
     matching_determinant_exact,
-    naive_matching_sum,
     weighted_matching_sum,
 )
 from .montecarlo import (
@@ -73,7 +72,6 @@ from .weingarten import (
     VarianceProfile,
     WeingartenMatrix,
     assemble_weingarten,
-    principal_minor_sum,
     sample_gaussian_weingarten,
     second_fundamental_form_fd,
     variance_profile,

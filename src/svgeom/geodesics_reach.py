@@ -148,6 +148,8 @@ def optimize_curvature(degrees, minimize: bool) -> tuple[float, Array]:
 
 @dataclass(frozen=True, eq=False)
 class ExtremalCurvature:
+    """Closed-form extremes with their speed vectors, and the largest and
+    smallest curvature over the critical points on the speed sphere."""
     max_value: float
     argmax: Array
     min_value: float
@@ -156,13 +158,46 @@ class ExtremalCurvature:
     numeric_min: float
 
 
+def _critical_speeds(degrees) -> Array:
+    """One critical point of the curvature per attainable subset degree.
+
+    By Lagrange, 4 theta_i^3 / d_i = 2 lambda theta_i at a critical point
+    of q(theta) = sum theta_i^4 / d_i on the speed sphere, so
+    theta_i^2 = d_i / D_S on a nonempty support S and 0 off it, with
+    D_S = sum_{i in S} d_i.  The critical value depends on D_S alone, so
+    one support per attainable D_S stands for all of them.
+    """
+    reps: dict[int, tuple] = {}
+    for i, d in enumerate(degrees):
+        for total, support in list(reps.items()):
+            reps.setdefault(total + d, support + (i,))
+        reps.setdefault(d, (i,))
+    dd = np.asarray(degrees, dtype=float)
+    speeds = np.zeros((len(reps), dd.size))
+    for row, (total, support) in zip(speeds, reps.items()):
+        row[list(support)] = np.sqrt(dd[list(support)] / total)
+    return speeds
+
+
+def _critical_curvature_extremes(degrees) -> tuple[float, float]:
+    """Largest and smallest curvature over the critical points.  The
+    curvature is smooth on the compact speed sphere, so these are its
+    global extremes."""
+    values = [curvature_closed_form(s, degrees)
+              for s in _critical_speeds(degrees)]
+    return max(values), min(values)
+
+
 def extremal_curvature(space: SpaceSpec) -> ExtremalCurvature:
     """Extremal normal curvatures of arc-length curves, closed form.
 
     The maximum is sqrt(2(d-1)/d) for the total degree d, attained when the
     squared speeds are proportional to the degrees; the minimum is attained
-    on the lowest-degree factor alone.  A multi-start numeric optimization
-    over the speed sphere double-checks both values.
+    on the lowest-degree factor alone.  numeric_max and numeric_min
+    re-derive both from the closed-form curvature at every critical point
+    on the speed sphere (one per attainable subset degree).  The
+    multi-start search optimize_curvature is an independent oracle for
+    the same values, run by the selftest and the tests.
     """
     if space.total_degree < _MIN_TOTAL_DEGREE:
         raise DomainError("extremal curvature requires total degree >= 2")
@@ -174,8 +209,7 @@ def extremal_curvature(space: SpaceSpec) -> ExtremalCurvature:
     argmin = np.zeros(space.r)
     argmin[low_index] = 1.0
     min_value = math.sqrt(2.0 * (d_low - 1) / d_low)
-    numeric_max, _ = optimize_curvature(space.degrees, minimize=False)
-    numeric_min, _ = optimize_curvature(space.degrees, minimize=True)
+    numeric_max, numeric_min = _critical_curvature_extremes(space.degrees)
     return ExtremalCurvature(max_value, argmax, min_value, argmin,
                              numeric_max, numeric_min)
 

@@ -120,27 +120,6 @@ def _edge_weight(p: MatchingProblem):
     return weight
 
 
-def naive_matching_sum(p: MatchingProblem) -> Fraction:
-    """Literal enumeration over vertex pairings, an oracle for small m."""
-    if p.m > BRUTE_FORCE_VERTEX_CAP:
-        raise ResourceError(f"naive enumeration capped at {BRUTE_FORCE_VERTEX_CAP}")
-    if p.m % 2:
-        return Fraction(0)
-    weight = _edge_weight(p)
-
-    def rec(vertices: tuple) -> Fraction:
-        if not vertices:
-            return Fraction(1)
-        first, rest = vertices[0], vertices[1:]
-        total = Fraction(0)
-        for pos, other in enumerate(rest):
-            remaining = rest[:pos] + rest[pos + 1:]
-            total += weight(first, other) * rec(remaining)
-        return total
-
-    return rec(tuple(range(p.m)))
-
-
 def matching_determinant_exact(p: MatchingProblem) -> Fraction:
     """(-1)^(m/2) times the weighted matching sum; zero for odd m."""
     if p.m % 2:

@@ -28,7 +28,12 @@ from .bw_algebra import (
     gaussian_tensor,
     random_orthogonal,
 )
-from .geodesics_reach import bottleneck_check, extremal_curvature, reach
+from .geodesics_reach import (
+    bottleneck_check,
+    extremal_curvature,
+    optimize_curvature,
+    reach,
+)
 from .manifold import (
     normal_split,
     random_segre_point,
@@ -122,10 +127,11 @@ def criterion_extremal_curvature(full: bool = True) -> CriterionResult:
         degrees = tuple(int(rng.integers(1, 7)) for _ in range(r))
         if sum(degrees) < 2:
             degrees = (2,) + degrees[1:]
-        space = SpaceSpec((1,) * r, degrees)
-        ext = extremal_curvature(space)
-        worst = max(worst, abs(ext.numeric_max - ext.max_value),
-                    abs(ext.numeric_min - ext.min_value))
+        ext = extremal_curvature(SpaceSpec((1,) * r, degrees))
+        searched_max, _ = optimize_curvature(degrees, minimize=False)
+        searched_min, _ = optimize_curvature(degrees, minimize=True)
+        worst = max(worst, abs(searched_max - ext.max_value),
+                    abs(searched_min - ext.min_value))
     ok = worst <= 1e-9
     return _result("extremal curvature", 1.0, start, ok,
                    f"{tuples} degree tuples, max optimizer error {worst:.2e}")

@@ -236,24 +236,6 @@ def sample_gaussian_weingarten(space: SpaceSpec, seed: int,
 # principal minors
 # ---------------------------------------------------------------------------
 
-def principal_minor_sum(matrix, k: int) -> float:
-    """Sum of all k x k principal minors; the empty minor counts as one."""
-    from itertools import combinations
-
-    mat = matrix.entries if isinstance(matrix, WeingartenMatrix) else \
-        np.asarray(matrix, dtype=float)
-    n = mat.shape[0]
-    if not 0 <= k <= n:
-        raise DomainError(f"minor order {k} out of range 0..{n}")
-    if k == 0:
-        return 1.0
-    total = 0.0
-    for subset in combinations(range(n), k):
-        sel = np.ix_(subset, subset)
-        total += float(np.linalg.det(mat[sel]))
-    return total
-
-
 # Highest minor order taken from power sums; see principal_minor_sums_batch.
 POWER_SUM_MAX_ORDER = 12
 

@@ -19,7 +19,11 @@ from svgeom import (
     rho2,
     veronese_embed,
 )
-from svgeom.geodesics_reach import curve_component_norms, optimize_curvature
+from svgeom.geodesics_reach import (
+    _critical_speeds,
+    curve_component_norms,
+    optimize_curvature,
+)
 from svgeom.manifold import base_point
 
 
@@ -133,7 +137,15 @@ def test_extremal_curvature_examples():
     assert ext.min_value == 0.0
 
 
+def _degree_grid():
+    """Every tuple of at most four factor degrees in 1..6 with total >= 2."""
+    return [degrees for r in range(1, 5)
+            for degrees in itertools.product(range(1, 7), repeat=r)
+            if sum(degrees) >= 2]
+
+
 def test_extremal_curvature_numeric_agreement():
+    # The multi-start search, an independent oracle, on random tuples.
     rng = np.random.default_rng(33)
     for _ in range(20):
         r = int(rng.integers(1, 5))
@@ -141,8 +153,32 @@ def test_extremal_curvature_numeric_agreement():
         if sum(degrees) < 2:
             degrees = (2,) + degrees[1:]
         ext = extremal_curvature(SpaceSpec((1,) * r, degrees))
-        assert abs(ext.numeric_max - ext.max_value) <= 1e-9
-        assert abs(ext.numeric_min - ext.min_value) <= 1e-9
+        searched_max, _ = optimize_curvature(degrees, minimize=False)
+        searched_min, _ = optimize_curvature(degrees, minimize=True)
+        assert abs(searched_max - ext.max_value) <= 1e-9
+        assert abs(searched_min - ext.min_value) <= 1e-9
+    # The critical-point check, on the whole grid.
+    for degrees in _degree_grid():
+        ext = extremal_curvature(SpaceSpec((1,) * len(degrees), degrees))
+        assert abs(ext.numeric_max - ext.max_value) <= 1e-12, degrees
+        assert abs(ext.numeric_min - ext.min_value) <= 1e-12, degrees
+
+
+def test_critical_speeds_are_stationary_on_every_subset_degree():
+    # One unit speed vector per attainable subset degree D_S, at which the
+    # gradient of q(theta) = sum theta_i^4 / d_i is normal to the sphere.
+    for degrees in _degree_grid():
+        dd = np.asarray(degrees, dtype=float)
+        speeds = _critical_speeds(degrees)
+        grad = 4.0 * speeds ** 3 / dd
+        tangential = grad - np.sum(grad * speeds, axis=1,
+                                   keepdims=True) * speeds
+        assert np.max(np.linalg.norm(tangential, axis=1)) <= 1e-13, degrees
+        assert np.max(np.abs(np.linalg.norm(speeds, axis=1) - 1.0)) <= 1e-14
+        attainable = {sum(sub) for size in range(1, len(degrees) + 1)
+                      for sub in itertools.combinations(degrees, size)}
+        subset_degrees = [int(dd[row > 0].sum()) for row in speeds]
+        assert sorted(subset_degrees) == sorted(attainable), degrees
 
 
 def test_extremal_curvature_requires_degree_two():

@@ -430,14 +430,20 @@ def _adversarial_form_rows(n, rng):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_jacobi_quadratic_form_matches_eigvalsh(n):
+def test_quadratic_form_correlation_is_top_abs_eigenvalue(n):
+    # The constructed rows have known spectra: top |eigenvalue| 2 for the
+    # first 2,000, the largest |coefficient| for the diagonal forms and 0
+    # for the zero rows.  The Gaussian rows are held against eigvalsh.
     space = SpaceSpec((n,), (2,))
     rows = _adversarial_form_rows(n, np.random.default_rng(20 + n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = max_correlation_batch(space, rows)
-    want = np.max(np.abs(np.linalg.eigvalsh(_quadratic_form_matrices(rows, n))),
-                  axis=1)
+    want = np.empty(len(rows))
+    want[:2000] = 2.0
+    want[2000:3010] = np.max(np.abs(rows[2000:3010]), axis=1)
+    want[3010:] = np.max(np.abs(np.linalg.eigvalsh(
+        _quadratic_form_matrices(rows[3010:], n))), axis=1)
     assert np.all(np.abs(got - want) <= 1e-14 * np.linalg.norm(rows, axis=1))
     assert np.all(got[3000:3010] == 0.0)
 

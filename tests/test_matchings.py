@@ -20,13 +20,14 @@ from svgeom import (
     matching_count,
     matching_determinant,
     matching_determinant_exact,
-    naive_matching_sum,
     tube_volume,
     variance_profile,
     weighted_matching_sum,
 )
 from svgeom import matchings
 from svgeom.weingarten import PROFILE_NAMES
+
+from oracles import naive_matching_sum
 
 
 # ---------------------------------------------------------------------------

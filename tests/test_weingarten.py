@@ -11,7 +11,6 @@ from svgeom import (
     assemble_weingarten,
     gaussian_tensor,
     normal_split,
-    principal_minor_sum,
     sample_gaussian_weingarten,
     second_fundamental_form_fd,
     variance_profile,
@@ -21,6 +20,8 @@ from svgeom.weingarten import (
     principal_minor_sums_batch,
     sample_block_matrix_batch,
 )
+
+from oracles import principal_minor_sum
 
 
 def normal_gaussian(space, seed, unit=False):
