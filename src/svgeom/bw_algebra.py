@@ -206,39 +206,22 @@ def gaussian_tensor(space: SpaceSpec, seed: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# products of linear forms and orthogonal substitution
+# multiplication by a variable and orthogonal substitution
 # ---------------------------------------------------------------------------
 
-def product_of_linear_powers(factors, n: int) -> dict[tuple[int, ...], float]:
-    """Monomial coefficients of prod_i ell_i^{e_i} in n + 1 variables.
-
-    `factors` is a sequence of (coefficient vector, exponent) pairs.
-    """
-    poly = {(0,) * (n + 1): 1.0}
-    for vec, e in factors:
-        vec = np.asarray(vec, dtype=float)
-        for _ in range(int(e)):
-            nxt: dict[tuple[int, ...], float] = {}
-            for alpha, c in poly.items():
-                for j in range(n + 1):
-                    lj = vec[j]
-                    if lj == 0.0:
-                        continue
-                    beta = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:]
-                    nxt[beta] = nxt.get(beta, 0.0) + c * lj
-            poly = nxt
-    return poly
-
-
-def monomials_to_coeffs(mono: dict[tuple[int, ...], float], n: int, d: int) -> Array:
-    """Convert an x^a coefficient dict to orthonormal-basis coordinates."""
-    table = _rank_table(n, d)
-    sq = sqrt_multinomials(n, d)
-    out = np.zeros(num_indices(n, d))
-    for alpha, c in mono.items():
-        rank = table[alpha]
-        out[rank] = c / sq[rank]
-    return out
+@lru_cache(maxsize=None)
+def multiply_table(n: int, d: int) -> Array:
+    """The maps p -> x_j p from degree d - 1 to d, read-only, stacked over j:
+    x_j e_a = sqrt(b_j / d) e_b with b = a + e_j, so a linear form w
+    multiplies by tensordot(w, table, 1)."""
+    ranks = _rank_table(n, d)
+    table = np.zeros((n + 1, num_indices(n, d), num_indices(n, d - 1)))
+    for a, alpha in enumerate(multi_indices(n, d - 1)):
+        for j in range(n + 1):
+            beta = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:]
+            table[j, ranks[beta], a] = math.sqrt(beta[j] / d)
+    table.setflags(write=False)
+    return table
 
 
 def veronese_coeffs(ell, d: int) -> Array:
@@ -253,19 +236,16 @@ def veronese_coeffs(ell, d: int) -> Array:
 
 
 def compose_matrix(q: Array, d: int) -> Array:
-    """Matrix of the substitution x -> Qx on degree-d coefficient vectors."""
+    """Matrix of the substitution x -> Qx on degree-d coefficient vectors.
+
+    Built degree by degree: with the tables M of degree k the substitution
+    has C_k M_j = (q_j . M) C_(k-1), and sum_j M_j M_j^T = I."""
     q = np.asarray(q, dtype=float)
     n = q.shape[0] - 1
-    table = _rank_table(n, d)
-    sq = sqrt_multinomials(n, d)
-    size = num_indices(n, d)
-    mat = np.zeros((size, size))
-    for a, alpha in enumerate(multi_indices(n, d)):
-        mono = product_of_linear_powers(
-            [(q[i], e) for i, e in enumerate(alpha) if e], n)
-        for beta, c in mono.items():
-            b = table[beta]
-            mat[b, a] = c * sq[a] / sq[b]
+    mat = np.ones((1, 1))
+    for k in range(1, d + 1):
+        m = multiply_table(n, k)
+        mat = np.tensordot(np.tensordot(q, m, 1) @ mat, m, axes=([0, 2], [0, 2]))
     return mat
 
 

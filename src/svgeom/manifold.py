@@ -26,11 +26,9 @@ from .bw_algebra import (
     SpaceSpec,
     Tensor,
     basis_rank,
-    exponent_matrix,
     kron_all,
-    monomials_to_coeffs,
     multi_indices,
-    product_of_linear_powers,
+    multiply_table,
     sqrt_multinomials,
     veronese_coeffs,
 )
@@ -249,13 +247,10 @@ def tangent_frame(p: SegrePoint) -> list[Tensor]:
     factor_vecs = [veronese_coeffs(f, d) for f, d in zip(p.forms, space.degrees)]
     frame = []
     for i, (n, d) in enumerate(zip(space.dims, space.degrees)):
-        comp = orthonormal_complement(p.forms[i])
-        for k in range(n):
-            v = comp[:, k]
-            mono = product_of_linear_powers([(p.forms[i], d - 1), (v, 1)], n)
-            fac = math.sqrt(d) * monomials_to_coeffs(mono, n, d)
+        lowered = math.sqrt(d) * veronese_coeffs(p.forms[i], d - 1)
+        for v in orthonormal_complement(p.forms[i]).T:
             vecs = list(factor_vecs)
-            vecs[i] = fac
+            vecs[i] = np.tensordot(v, multiply_table(n, d), 1) @ lowered
             frame.append(Tensor(space, p.sign * kron_all(vecs)))
     return frame
 
@@ -409,10 +404,8 @@ def _maximize_factor(c: Array, n: int, d: int, ell: Array) -> Array:
     if d == 2:
         vals, vecs = np.linalg.eigh(_quadratic_form_matrices(c, n))
         return vecs[np.arange(c.shape[0]), :, np.argmax(np.abs(vals), axis=1)]
-    expo = exponent_matrix(n, d)
-    lowered = np.maximum(expo[:, None, :] - np.eye(n + 1, dtype=expo.dtype), 0)
-    grad = np.einsum("ma,aj,maj->mj", c * sqrt_multinomials(n, d), expo,
-                     np.prod(ell[:, None, None, :] ** lowered, axis=-1))
+    grad = d * np.einsum("jmb,mb->mj", c @ multiply_table(n, d),
+                         veronese_coeffs(ell, d - 1))
     frame = np.linalg.qr(np.stack([ell, grad], axis=-1))[0]  # columns +-ell, u
     return _maximize_on_circle(c, d, ell, frame[:, :, 1])
 
@@ -467,18 +460,18 @@ def _best_rank_one(space: SpaceSpec, points: Array, restarts: int,
     return corr[best], [f[best] for f in forms], converged[best]
 
 
-def rank_one_distance(f: Tensor, max_iter: int = 500) -> RankOneResult:
+def rank_one_distance(f: Tensor) -> RankOneResult:
     """Angular distance from a unit tensor to the rank-one manifold.
 
     Runs the batched alternating maximization `_best_rank_one` on one row
-    with 20 restarts, on every space; `converged` is the flag of the best
-    of its restarts.
+    with 20 restarts and at most DISTANCE_SWEEPS sweeps, on every space;
+    `converged` is the flag of the best of its restarts.
     """
     space = f.space
     if not abs(f.norm - 1.0) <= 1e-9:
         raise DomainError("rank_one_distance requires a unit tensor")
     corr, forms, converged = _best_rank_one(space, f.coeffs[None, :], 20,
-                                            max_iter)
+                                            DISTANCE_SWEEPS)
     point = SegrePoint(space, tuple(fm[0] for fm in forms))
     sign = 1 if np.dot(embed(point).coeffs, f.coeffs) >= 0 else -1
     point = SegrePoint(space, point.forms, sign).canonical()
@@ -569,8 +562,9 @@ def _pencil_top_singular_value(t: Array) -> Array:
                           + np.hypot(at(e, best) / 2.0, at(r, best))), axis=1)
 
 
-# Restarts of the alternating maximization in `max_correlation_batch`.
+# Restarts of `max_correlation_batch`'s HOPM; sweep cap of `rank_one_distance`.
 BATCH_RESTARTS = 8
+DISTANCE_SWEEPS = 500
 
 
 def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:

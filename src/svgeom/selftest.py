@@ -26,6 +26,7 @@ from .bw_algebra import (
     bw_inner,
     evaluate,
     gaussian_tensor,
+    multiply_table,
     random_orthogonal,
 )
 from .geodesics_reach import (
@@ -47,7 +48,7 @@ from .matchings import (
     matching_determinant_exact,
 )
 from .montecarlo import McConfig, mc_expected_det, mc_minor_sum, mc_tube_volume
-from .tube import manifold_volume, tube_volume
+from .tube import _adaptive_simpson, manifold_volume, tube_volume
 from .weingarten import (
     PROFILE_NAMES,
     assemble_weingarten,
@@ -351,17 +352,16 @@ def criterion_geometry_invariants(full: bool = True) -> CriterionResult:
 
 def criterion_volume_crosscheck(full: bool = True) -> CriterionResult:
     start = time.perf_counter()
-    from .tube import _adaptive_simpson
+    table = multiply_table(1, 2)
 
-    def speed(theta: float, h: float = 1e-6) -> float:
-        plus = veronese_embed((math.cos(theta + h), math.sin(theta + h)), 2)
-        minus = veronese_embed((math.cos(theta - h), math.sin(theta - h)), 2)
-        return float(np.linalg.norm((plus.coeffs - minus.coeffs) / (2 * h)))
+    def speed(theta: float) -> float:  # |d/dtheta x^2| = |2 x' x|, x = (cos, sin)
+        x = np.array([math.cos(theta), math.sin(theta)])
+        return float(np.linalg.norm(2.0 * (x[0] * table[1] - x[1] * table[0]) @ x))
 
-    length = 2.0 * _adaptive_simpson(speed, 0.0, math.pi, tol=1e-10)
+    length = 2.0 * _adaptive_simpson(speed, 0.0, math.pi)
     expected = manifold_volume(SpaceSpec((1,), (2,)))
     err = abs(length - expected)
-    ok = err <= 1e-6 and abs(expected - 2.0 * math.sqrt(2.0) * math.pi) <= 1e-12
+    ok = err <= 1e-12 and abs(expected - 2.0 * math.sqrt(2.0) * math.pi) <= 1e-12
     detail = (f"arc length {length:.9f} vs closed form {expected:.9f}, "
               f"err {err:.2e}")
     return _result("volume cross-check", 1.0, start, ok, detail)

@@ -65,7 +65,7 @@ def manifold_volume(space: SpaceSpec) -> float:
 # radial integrals
 # ---------------------------------------------------------------------------
 
-def _adaptive_simpson(fn, a: float, b: float, tol: float = 1e-12) -> float:
+def _adaptive_simpson(fn, a: float, b: float) -> float:
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
@@ -75,7 +75,7 @@ def _adaptive_simpson(fn, a: float, b: float, tol: float = 1e-12) -> float:
         fl, fr = fn(xl), fn(xr)
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
-        if depth >= 50 or abs(left + right - whole) <= 15.0 * tol:
+        if depth >= 50 or abs(left + right - whole) <= 15.0 * 1e-12:
             return left + right + (left + right - whole) / 15.0
         return (rec(x0, xm, f0, fl, f1, left, depth + 1)
                 + rec(xm, x2, f1, fr, f2, right, depth + 1))

@@ -19,7 +19,7 @@ from svgeom import (
     random_orthogonal,
     veronese_embed,
 )
-from svgeom.bw_algebra import kron_all, num_indices, veronese_coeffs
+from svgeom.bw_algebra import kron_all, multiply_table, num_indices, veronese_coeffs
 
 
 def unit_gaussian(space, seed):
@@ -197,6 +197,39 @@ def test_quarter_turn_swaps_pure_powers(d):
     expected = np.zeros(space.ambient_dim)
     expected[-1] = (-1.0) ** d
     assert np.allclose(image, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_apply_orthogonal_substitutes_pointwise(n, d):
+    # The image is f(Qx), checked at points through the monomial route of
+    # `evaluate`, which never touches the multiply-by-x_j table.
+    rng = np.random.default_rng([29, n, d])
+    space = SpaceSpec((n,), (d,))
+    for _ in range(5):
+        f = Tensor(space, rng.standard_normal(space.ambient_dim))
+        q = random_orthogonal(n + 1, rng)
+        x = rng.standard_normal(n + 1)
+        x /= np.linalg.norm(x)
+        got = evaluate(apply_orthogonal(f, [q]), x)
+        assert abs(got - evaluate(f, q @ x)) <= 1e-12 * f.norm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_multiply_table_multiplies_pointwise(n, d):
+    # (w . table) p evaluates to (w . x) p(x), by the monomial route.
+    rng = np.random.default_rng([31, n, d])
+    table = multiply_table(n, d)
+    assert table.shape == (n + 1, num_indices(n, d), num_indices(n, d - 1))
+    for _ in range(5):
+        p = Tensor(SpaceSpec((n,), (d - 1,)), rng.standard_normal(table.shape[2]))
+        w = rng.standard_normal(n + 1)
+        x = rng.standard_normal(n + 1)
+        x /= np.linalg.norm(x)
+        product = Tensor(SpaceSpec((n,), (d,)), np.tensordot(w, table, 1) @ p.coeffs)
+        assert abs(evaluate(product, x) - (w @ x) * evaluate(p, x)) <= \
+            1e-12 * np.linalg.norm(w) * p.norm
 
 
 def test_apply_orthogonal_rejects_non_orthogonal():

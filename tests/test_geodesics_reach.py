@@ -205,8 +205,31 @@ def test_subset_support_critical_values():
 
 
 def test_subset_maxima_monotone_in_subset_degree():
-    values = [math.sqrt(2 * (d - 1) / d) for d in range(1, 20)]
-    assert values == sorted(values)
+    # The maximum of `extremal_curvature` on the space of each factor subset
+    # S is the full space's critical value on support S, one value per
+    # subset degree D_S, the values `_critical_speeds` stands for; and it
+    # rises strictly with D_S.
+    for degrees in [(1, 1, 2), (2, 3), (1, 2, 4), (3, 3, 1), (1, 1, 1, 1),
+                    (2, 5, 1, 3)]:
+        r = len(degrees)
+        maxima = {}
+        for size in range(1, r + 1):
+            for support in itertools.combinations(range(r), size):
+                sub = tuple(degrees[i] for i in support)
+                if sum(sub) < 2:
+                    continue
+                ext = extremal_curvature(SpaceSpec((1,) * size, sub))
+                speeds = np.zeros(r)
+                speeds[list(support)] = np.sqrt(np.asarray(sub) / sum(sub))
+                assert ext.max_value == pytest.approx(
+                    curvature_closed_form(speeds, degrees), abs=1e-14)
+                assert maxima.setdefault(sum(sub), ext.max_value) == \
+                    pytest.approx(ext.max_value, abs=1e-14)
+        critical = sorted(curvature_closed_form(s, degrees)
+                          for s in _critical_speeds(degrees))
+        ordered = [maxima[total] for total in sorted(maxima)]
+        assert np.all(np.diff(ordered) > 1e-3), degrees
+        assert ordered == pytest.approx(critical[-len(ordered):], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,13 @@ from svgeom import (
     tangent_frame,
     veronese_embed,
 )
+from svgeom import manifold
 from svgeom.bw_algebra import multi_indices, veronese_coeffs
-from svgeom.manifold import _best_rank_one, _quadratic_form_matrices
+from svgeom.manifold import (
+    _best_rank_one,
+    _quadratic_form_matrices,
+    orthonormal_complement,
+)
 from svgeom.montecarlo import _hits
 
 SMALL_SPACES = [((1,), (2,)), ((2,), (3,)), ((1, 1), (1, 1)), ((1, 1), (2, 1)),
@@ -237,6 +242,28 @@ def test_tangent_frame_is_orthonormal():
             assert np.max(np.abs(gram - np.eye(space.manifold_dim))) <= 1e-10
 
 
+def test_tangent_frame_rows_are_derivatives_of_embed():
+    # Row (i, k) is d/dt embed(p) with form i turned toward the k-th
+    # complement direction v, cos(t) ell_i + sin(t) v, over sqrt(d_i),
+    # against a central difference.
+    rng = np.random.default_rng(18)
+    h = 1e-5
+    for dims, degrees in SMALL_SPACES + [((3,), (6,)), ((2, 1), (4, 3))]:
+        space = SpaceSpec(dims, degrees)
+        for _ in range(3):
+            p = random_segre_point(space, rng)
+            rows = iter(tangent_frame(p))
+            for i, d in enumerate(degrees):
+                for v in orthonormal_complement(p.forms[i]).T:
+                    def turned(t):
+                        forms = list(p.forms)
+                        forms[i] = math.cos(t) * forms[i] + math.sin(t) * v
+                        return embed(SegrePoint(space, forms, p.sign)).coeffs
+                    fd = (turned(h) - turned(-h)) / (2.0 * h * math.sqrt(d))
+                    assert np.max(np.abs(next(rows).coeffs - fd)) <= 1e-8
+            assert next(rows, None) is None
+
+
 def test_group_action_maps_points_to_points():
     rng = np.random.default_rng(9)
     space = SpaceSpec((1, 1), (2, 1))
@@ -311,6 +338,34 @@ def test_argmin_point_realizes_correlation():
     res = rank_one_distance(f)
     assert bw_inner(embed(res.point), f) == pytest.approx(res.correlation,
                                                           abs=1e-9)
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (2, 5), (3, 4), (3, 6)])
+def test_hopm_gradient_matches_central_difference(n, d, monkeypatch):
+    # The SS-HOPM step of `_maximize_factor` searches the great circle
+    # through ell and the gradient of p = <c, veronese(ell, d)>, so the
+    # circle's direction u must be the gradient's part orthogonal to ell,
+    # here from a central difference of `evaluate`.
+    rng = np.random.default_rng([43, n, d])
+    space = SpaceSpec((n,), (d,))
+    c = rng.standard_normal((10, space.ambient_dim))
+    ell = rng.standard_normal((10, n + 1))
+    ell /= np.linalg.norm(ell, axis=1, keepdims=True)
+    seen = []
+
+    def spy(c, d, ell, u):
+        seen.append(u)
+        return ell
+
+    monkeypatch.setattr(manifold, "_maximize_on_circle", spy)
+    manifold._maximize_factor(c, n, d, ell)
+    h = 1e-5
+    for row, u in enumerate(seen[0]):
+        f = Tensor(space, c[row])
+        grad = np.array([evaluate(f, ell[row] + h * e) - evaluate(f, ell[row] - h * e)
+                         for e in np.eye(n + 1)]) / (2.0 * h)
+        along = grad - (grad @ ell[row]) * ell[row]
+        assert np.linalg.norm(u - (u @ along) * along / (along @ along)) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -706,11 +761,12 @@ def test_degenerate_pencils_are_not_below_hopm_or_a_scan(m):
     assert np.all(got >= _pencil_scan(rows.reshape(-1, 2, 2, m + 1)) - 1e-14)
 
 
-def test_rank_one_distance_flags_non_convergence():
+def test_rank_one_distance_flags_non_convergence(monkeypatch):
+    monkeypatch.setattr(manifold, "DISTANCE_SWEEPS", 1)
     space = SpaceSpec((1, 1), (2, 3))
     f = gaussian_tensor(space, 99)
     f = Tensor(space, f.coeffs / f.norm)
-    res = rank_one_distance(f, max_iter=1)
+    res = rank_one_distance(f)
     assert res.converged is False
     assert 0.0 <= res.distance <= math.pi / 2
 
