@@ -6,8 +6,7 @@ resource guard trips.  The JSON always echoes the resolved configuration so
 runs are reproducible, and it is strict (RFC 8259): no NaN or Infinity, so
 the infinite standard error of a one-sample mc-det prints as null.  Only
 the sampling subcommands (weingarten, mc-det, mc-tube) take a seed: 42 by
-default, overridable by the SVGEOM_SEED environment variable and the
---seed flag.
+default, set by --seed.
 
 Each subcommand is one entry of `SUBCOMMANDS` (help text, handler, options),
 the only place to add a subcommand or an option: the parser, the config echo
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple
@@ -56,16 +54,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text}") from exc
 
 
-def _default_seed() -> int:
-    env = os.environ.get("SVGEOM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"ignoring non-integer SVGEOM_SEED={env!r}", file=sys.stderr)
-    return 42
-
-
 def _option(*flags, **spec):
     """The arguments of one `add_argument` call."""
     return flags, spec
@@ -80,8 +68,8 @@ _SPACE = (
 _PROFILE = _option("--profile", choices=PROFILE_NAMES, default=DEFAULT_PROFILE)
 _MINOR_MODE = _option("--minor-mode", choices=MINOR_MODES, default="corrected")
 _EPSILON = _option("--epsilon", type=float, required=True)
-_SEED = _option("--seed", type=int, default=None)
-_CSV = _option("--csv", "--out", dest="csv", metavar="PATH", default=None,
+_SEED = _option("--seed", type=int, default=42)
+_CSV = _option("--csv", metavar="PATH", default=None,
                help="write tabular output (matrix, histogram, terms) to PATH")
 
 
@@ -93,9 +81,9 @@ def _profile(args):
     return variance_profile(args.profile, args.degrees)
 
 
-# A handler takes the parsed namespace, seed resolved, and returns the document
-# after its "config", which is read from the namespace once the handler
-# returns: an option the handler resolves in place echoes the value it used.
+# A handler takes the parsed namespace and returns the document after its
+# "config", which is read from the namespace once the handler returns: an
+# option the handler resolves in place echoes the value it used.
 
 def _reach(args) -> dict:
     return asdict(reach(_space(args)))
@@ -230,8 +218,6 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if "seed" in args and args.seed is None:
-        args.seed = _default_seed()
     try:
         body = SUBCOMMANDS[args.subcommand].handler(args)
     except argparse.ArgumentError as exc:

@@ -27,7 +27,6 @@ from .bw_algebra import (
     Tensor,
     basis_rank,
     kron_all,
-    multi_indices,
     multiply_table,
     sqrt_multinomials,
     veronese_coeffs,
@@ -267,64 +266,47 @@ class RankOneResult:
     converged: bool
 
 
-def _quadratic_form_entries(columns: Array, n: int) -> dict:
-    """Upper-triangle entries (j, k) -> values of the symmetric matrices m
-    with value(ell) = ell^T m ell, one value per column of a (coefficients,
+def _quadratic_forms(columns: Array, n: int) -> Array:
+    """The (n + 1, n + 1, batch) symmetric matrices m[j, k] = <x_j x_k, p>,
+    so that p(ell) = ell^T m ell, one per column p of a (coefficients,
     batch) array of quadratics."""
-    entries = {}
-    for rank, alpha in enumerate(multi_indices(n, 2)):
-        j, k = (i for i, a in enumerate(alpha) for _ in range(a))
-        entries[j, k] = columns[rank] / (1.0 if j == k else math.sqrt(2.0))
-    return entries
+    return np.tensordot(multiply_table(n, 2), columns, axes=(1, 0))
 
 
-def _quadratic_form_matrices(coeffs: Array, n: int) -> Array:
-    """Symmetric matrices m with value(ell) = ell^T m ell, one per row of
-    a (batch, coefficients) array of quadratics."""
-    return _symmetric_matrices(_quadratic_form_entries(coeffs.T, n), n + 1)
-
-
-def _gram_entries(space: SpaceSpec, rows: Array) -> dict:
-    """Upper-triangle entries (p, q) -> values of the Gram matrix x x^T of
-    each row x of a two-factor degree-one space, taken as a matrix with the
-    smaller factor first."""
+def _gram(space: SpaceSpec, rows: Array) -> Array:
+    """The (n, n, batch) Gram matrices x x^T of the rows x of a two-factor
+    degree-one space, each taken as a matrix with the smaller factor
+    first."""
     x = np.ascontiguousarray(rows.T).reshape(*space.factor_dims, -1)
     if x.shape[0] > x.shape[1]:
         x = x.swapaxes(0, 1)
-    n = x.shape[0]
-    return {(p, q): np.einsum("kb,kb->b", x[p], x[q])
-            for p in range(n) for q in range(p, n)}
+    return np.einsum("pkb,qkb->pqb", x, x)
 
 
-def _symmetric_matrices(a: dict, n: int) -> Array:
-    """The (batch, n, n) matrices of upper-triangle entries a[p, q], p <= q,
-    each an array over the batch."""
-    mats = np.empty(a[0, 0].shape + (n, n))
-    for (p, q), entry in a.items():
-        mats[:, p, q] = mats[:, q, p] = entry
-    return mats
+def _is_positive_definite(a: Array, diagonal: float, sign: float) -> Array:
+    """Whether diagonal I + sign A is positive definite, sign +-1, for each
+    of an (n, n, batch) array of symmetric matrices A.
 
-
-def _is_positive_definite(a: dict, n: int) -> Array:
-    """Whether each of a batch of symmetric n x n matrices, stored
-    struct-of-arrays as upper-triangle entries a[p, q], p <= q, each an
-    array over the batch, is positive definite.
-
-    Gaussian elimination without pivoting: the k-th pivot is the ratio of
-    the k-th and (k-1)-th leading principal minors, so by Sylvester's
-    criterion a matrix is positive definite exactly when every pivot is
-    positive.  A matrix stops counting at its first pivot <= 0, after which
-    its entries are updated with pivot 1, so nothing divides by zero.
+    Gaussian elimination without pivoting on sign (diagonal I + sign A) =
+    A + sign diagonal I, whose pivots are sign times those of the matrix
+    tested: the k-th pivot is the ratio of the k-th and (k-1)-th leading
+    principal minors, so by Sylvester's criterion the matrix is positive
+    definite exactly when every pivot is positive.  It reads only the
+    upper-triangle views a[p, q], p <= q, each contiguous over the batch.
+    A matrix stops counting at its first pivot <= 0, after which its
+    entries are updated with pivot 1, so nothing divides by zero.
     """
-    a = dict(a)  # entries are rebound, never written: the caller's stay
-    definite = np.ones(a[0, 0].shape, dtype=bool)
+    n = a.shape[0]
+    m = {(p, q): a[p, q] for p in range(n) for q in range(p + 1, n)}
+    m.update({(k, k): a[k, k] + sign * diagonal for k in range(n)})
+    definite = np.ones(a.shape[2:], dtype=bool)
     for k in range(n):
-        definite &= a[k, k] > 0.0
-        inverse = 1.0 / np.where(definite, a[k, k], 1.0)
+        definite &= sign * m[k, k] > 0.0
+        inverse = 1.0 / np.where(definite, m[k, k], 1.0)
         for i in range(k + 1, n):
-            ratio = a[k, i] * inverse
+            ratio = m[k, i] * inverse
             for j in range(i, n):
-                a[i, j] = a[i, j] - ratio * a[k, j]
+                m[i, j] = m[i, j] - ratio * m[k, j]
     return definite
 
 
@@ -402,7 +384,7 @@ def _maximize_factor(c: Array, n: int, d: int, ell: Array) -> Array:
         norm = np.linalg.norm(c, axis=1, keepdims=True)
         return np.divide(c, norm, out=ell.copy(), where=norm > 0.0)
     if d == 2:
-        vals, vecs = np.linalg.eigh(_quadratic_form_matrices(c, n))
+        vals, vecs = np.linalg.eigh(np.moveaxis(_quadratic_forms(c.T, n), -1, 0))
         return vecs[np.arange(c.shape[0]), :, np.argmax(np.abs(vals), axis=1)]
     grad = d * np.einsum("jmb,mb->mj", c @ multiply_table(n, d),
                          veronese_coeffs(ell, d - 1))
@@ -624,7 +606,8 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
     scale = np.max(np.abs(points), axis=1, initial=0.0)
     unit = points / np.where(scale > 0.0, scale, 1.0)[:, None]
     if quadratic:
-        lam = np.linalg.eigvalsh(_quadratic_form_matrices(unit, dims[0]))
+        lam = np.linalg.eigvalsh(
+            np.moveaxis(_quadratic_forms(unit.T, dims[0]), -1, 0))
         return scale * np.maximum(-lam[:, 0], lam[:, -1])
     if binary:
         x = _circle_maximizer(unit, degrees[0])
@@ -640,6 +623,5 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
         t = unit.reshape(-1, *space.factor_dims).transpose(
             0, *(1 + i for i in binary_first))
         return scale * _pencil_top_singular_value(t)
-    gram = _symmetric_matrices(_gram_entries(space, unit),
-                               min(space.factor_dims))
+    gram = np.moveaxis(_gram(space, unit), -1, 0)
     return scale * np.sqrt(np.linalg.eigvalsh(gram)[:, -1])

@@ -18,9 +18,9 @@ import numpy as np
 from .bw_algebra import SpaceSpec
 from .errors import DomainError, ResourceError
 from .manifold import (
-    _gram_entries,
+    _gram,
     _is_positive_definite,
-    _quadratic_form_entries,
+    _quadratic_forms,
     max_correlation_batch,
 )
 from .matchings import MatchingProblem
@@ -150,12 +150,6 @@ class McVolume:
     seed: int
 
 
-def _shifted(a: dict, diagonal: float, sign: float) -> dict:
-    """The entries of diagonal I + sign A, from upper-triangle entries of A."""
-    return {(p, q): diagonal + sign * e if p == q else sign * e
-            for (p, q), e in a.items()}
-
-
 def _hits(space: SpaceSpec, points: np.ndarray,
           threshold: float) -> np.ndarray:
     """Whether each unit row's best rank-one correlation exceeds a threshold
@@ -170,14 +164,12 @@ def _hits(space: SpaceSpec, points: np.ndarray,
     compares `max_correlation_batch` with the threshold.
     """
     if space.degrees == (2,) and space.dims != (1,):
-        n = space.dims[0]
-        a = _quadratic_form_entries(points.T, n)
-        definite = _is_positive_definite(_shifted(a, threshold, -1.0), n + 1)
-        return ~(definite & _is_positive_definite(_shifted(a, threshold, 1.0),
-                                                   n + 1))
+        a = _quadratic_forms(points.T, space.dims[0])
+        return ~(_is_positive_definite(a, threshold, -1.0)
+                 & _is_positive_definite(a, threshold, 1.0))
     if space.degrees == (1, 1):
-        gram = _shifted(_gram_entries(space, points), threshold ** 2, -1.0)
-        return ~_is_positive_definite(gram, min(space.factor_dims))
+        gram = _gram(space, points)
+        return ~_is_positive_definite(gram, threshold ** 2, -1.0)
     return max_correlation_batch(space, points) > threshold
 
 

@@ -47,10 +47,13 @@ class VarianceProfile:
     within_offdiag: tuple
 
     def __post_init__(self):
-        if any(v < 0 for v in self.within_offdiag):
+        try:
+            values = tuple(map(Fraction, self.within_offdiag))
+        except (ValueError, OverflowError) as exc:  # NaN, infinity
+            raise DomainError("variances must be finite numbers") from exc
+        if any(v < 0 for v in values):
             raise DomainError("variances must be nonnegative")
-        object.__setattr__(self, "within_offdiag",
-                           tuple(map(Fraction, self.within_offdiag)))
+        object.__setattr__(self, "within_offdiag", values)
 
 
 # Profile name -> within-block off-diagonal variance for a factor of degree d.

@@ -204,9 +204,7 @@ def test_output_is_strict_json(capsys, tmp_path, name, argv):
         assert doc["std_error"] is None
 
 
-def test_reused_parser_keeps_no_state(capsys, monkeypatch):
-    monkeypatch.delenv("SVGEOM_SEED", raising=False)
-
+def test_reused_parser_keeps_no_state(capsys):
     def documents():
         docs = []
         for name, argv in MINIMAL_ARGV.items():
@@ -252,14 +250,21 @@ def test_mc_tube_subcommand(capsys):
     assert doc["fraction"] == doc["hits"] / 20000
 
 
-def test_seed_env_override(capsys, monkeypatch):
+def test_csv_has_no_alias(capsys, tmp_path):
+    assert main(["mc-det", "--dims", "1,1", "--degrees", "1,1", "--samples",
+                 "100", "--out", str(tmp_path / "h.csv")]) == 1
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_seed_is_set_by_the_flag_alone(capsys, monkeypatch):
+    # --seed is the one way to set the seed: the environment is not read.
     monkeypatch.setenv("SVGEOM_SEED", "7")
-    code, doc, _ = run_cli(capsys, "mc-det", "--dims", "1,1",
-                           "--degrees", "1,1", "--samples", "100")
-    assert doc["seed"] == 7
-    code, doc, _ = run_cli(capsys, "mc-det", "--dims", "1,1",
-                           "--degrees", "1,1", "--samples", "100",
-                           "--seed", "9")
+    argv = ["mc-det", "--dims", "1,1", "--degrees", "1,1", "--samples", "100"]
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert doc["seed"] == 42
+    code, doc, _ = run_cli(capsys, *argv, "--seed", "9")
+    assert code == 0
     assert doc["seed"] == 9
 
 

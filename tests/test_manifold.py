@@ -32,7 +32,7 @@ from svgeom import manifold
 from svgeom.bw_algebra import multi_indices, veronese_coeffs
 from svgeom.manifold import (
     _best_rank_one,
-    _quadratic_form_matrices,
+    _quadratic_forms,
     orthonormal_complement,
 )
 from svgeom.montecarlo import _hits
@@ -434,7 +434,7 @@ def test_binary_quadratic_closed_form_matches_eigvalsh():
     rows[:1000, 2] = rows[:1000, 0]           # eigenvalue
     rows[1000:2000, 2] = -rows[1000:2000, 0]  # c0 = -c2: opposite eigenvalues
     got = max_correlation_batch(SpaceSpec((1,), (2,)), rows)
-    mats = _quadratic_form_matrices(rows, 1)
+    mats = np.moveaxis(_quadratic_forms(rows.T, 1), -1, 0)
     want = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
     assert np.all(np.abs(got - want) <= 1e-14 * np.linalg.norm(rows, axis=1))
 
@@ -453,9 +453,28 @@ def test_gram_top_singular_value_matches_svd(dims):
     assert np.all(np.abs(got - want) <= 1e-14 * np.linalg.norm(rows, axis=1))
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_quadratic_forms_evaluate_the_form(n):
+    # ell^T m ell is the quadratic at ell by the monomial route of
+    # `evaluate`, which never reads `multiply_table`, and m is symmetric.
+    space = SpaceSpec((n,), (2,))
+    rng = np.random.default_rng([27, n])
+    columns = rng.standard_normal((space.ambient_dim, 50))
+    m = _quadratic_forms(columns, n)
+    assert m.shape == (n + 1, n + 1, 50)
+    assert np.array_equal(m, m.swapaxes(0, 1))
+    for b in range(50):
+        ell = rng.standard_normal(n + 1)
+        want = evaluate(Tensor(space, columns[:, b]), ell)
+        assert abs(ell @ m[:, :, b] @ ell - want) <= \
+            1e-12 * np.linalg.norm(columns[:, b]) * (ell @ ell)
+
+
 def _form_coefficients(mats):
-    """Coefficient rows of the quadratic forms of symmetric matrices: the
-    inverse of `_quadratic_form_matrices`."""
+    """Coefficient rows of the quadratic forms ell^T m ell of a batch of
+    symmetric matrices m, (batch, n + 1, n + 1), read off the monomial
+    basis (an off-diagonal entry times sqrt(2)): the inverse of
+    `_quadratic_forms`, written without its table."""
     n = mats.shape[-1] - 1
     rows = np.empty((mats.shape[0], (n + 1) * (n + 2) // 2))
     for rank, alpha in enumerate(multi_indices(n, 2)):
@@ -498,7 +517,7 @@ def test_quadratic_form_correlation_is_top_abs_eigenvalue(n):
     want[:2000] = 2.0
     want[2000:3010] = np.max(np.abs(rows[2000:3010]), axis=1)
     want[3010:] = np.max(np.abs(np.linalg.eigvalsh(
-        _quadratic_form_matrices(rows[3010:], n))), axis=1)
+        np.moveaxis(_quadratic_forms(rows[3010:].T, n), -1, 0))), axis=1)
     assert np.all(np.abs(got - want) <= 1e-14 * np.linalg.norm(rows, axis=1))
     assert np.all(got[3000:3010] == 0.0)
 

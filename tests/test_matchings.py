@@ -180,6 +180,9 @@ def test_minor_sum_range_checks():
 def test_profiles_reject_negative_variance():
     with pytest.raises(DomainError):
         VarianceProfile("bad", (Fraction(-1),))
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError):
+            VarianceProfile("bad", (1.0, value))
     with pytest.raises(DomainError):
         variance_profile("nope", (2,))
 
