@@ -2,22 +2,14 @@
 """Print the reach for a range of total degrees.
 
 The reach depends only on the total degree, not on the factor dimensions;
-the table lists several spaces per degree to make that visible.
+the table lists several spaces per degree to make that visible.  The
+spaces are those of the selftest's reach-table criterion.
 """
 
 import argparse
 
 from svgeom import SpaceSpec, reach
-
-SPACES = {
-    2: [((1,), (2,)), ((3,), (2,)), ((2, 2), (1, 1))],
-    3: [((1,), (3,)), ((1, 1, 1), (1, 1, 1))],
-    4: [((2,), (4,)), ((1, 1), (2, 2))],
-    5: [((1,), (5,)), ((2, 1), (2, 3))],
-    6: [((1,), (6,)), ((1, 1, 1), (2, 2, 2))],
-    8: [((1,), (8,)), ((1, 1), (4, 4))],
-    12: [((1,), (12,)), ((2, 3), (6, 6))],
-}
+from svgeom.selftest import REACH_SPACES
 
 
 def main() -> None:
@@ -25,7 +17,7 @@ def main() -> None:
     parser.parse_args()
     print(f"{'d':>3} {'dims':>14} {'degrees':>14} {'rho1':>12} "
           f"{'rho2':>12} {'reach':>12}  regime")
-    for d, entries in SPACES.items():
+    for d, entries in REACH_SPACES.items():
         for dims, degrees in entries:
             rep = reach(SpaceSpec(dims, degrees))
             print(f"{d:>3} {str(dims):>14} {str(degrees):>14} "

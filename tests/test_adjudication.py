@@ -17,15 +17,18 @@ from scipy import stats
 from svgeom import (
     SpaceSpec,
     McConfig,
-    embed,
     expected_minor_sum,
     mc_minor_sum,
     mc_tube_volume,
-    random_segre_point,
     tube_volume,
     variance_profile,
 )
-from svgeom.manifold import SegrePoint, orthonormal_complement
+from svgeom.manifold import (
+    SegrePoint,
+    embed,
+    orthonormal_complement,
+    random_segre_point,
+)
 from svgeom.weingarten import (
     PROFILE_NAMES,
     gaussian_weingarten_batch,

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from svgeom import (
-    DomainError,
-    SpaceSpec,
+from svgeom import DomainError, SpaceSpec
+from svgeom.bw_algebra import (
     Tensor,
     angular_distance,
     apply_orthogonal,
@@ -15,11 +14,14 @@ from svgeom import (
     bw_inner,
     evaluate,
     gaussian_tensor,
+    kron_all,
     multi_indices,
+    multiply_table,
+    num_indices,
     random_orthogonal,
-    veronese_embed,
+    veronese_coeffs,
 )
-from svgeom.bw_algebra import kron_all, multiply_table, num_indices, veronese_coeffs
+from svgeom.manifold import veronese_embed
 
 
 def unit_gaussian(space, seed):

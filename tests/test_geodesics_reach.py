@@ -5,26 +5,20 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from svgeom import (
-    DomainError,
-    SpaceSpec,
-    bottleneck_check,
-    bw_inner,
-    curvature_closed_form,
-    embed,
-    extremal_curvature,
-    geodesic_eval,
-    reach,
-    rho1,
-    rho2,
-    veronese_embed,
-)
+from svgeom import DomainError, SpaceSpec, reach
+from svgeom.bw_algebra import bw_inner
 from svgeom.geodesics_reach import (
     _critical_speeds,
+    bottleneck_check,
+    curvature_closed_form,
     curve_component_norms,
+    extremal_curvature,
+    geodesic_eval,
     optimize_curvature,
+    rho1,
+    rho2,
 )
-from svgeom.manifold import base_point
+from svgeom.manifold import base_point, embed, veronese_embed
 
 
 # ---------------------------------------------------------------------------

@@ -6,34 +6,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svgeom import (
-    DomainError,
-    SegrePoint,
-    SpaceSpec,
+from svgeom import DomainError, SpaceSpec
+from svgeom import manifold
+from svgeom.bw_algebra import (
     Tensor,
     angular_distance,
     apply_orthogonal,
-    base_point,
     bw_inner,
-    curvature_closed_form,
-    embed,
     evaluate,
     gaussian_tensor,
+    multi_indices,
+    random_orthogonal,
+    veronese_coeffs,
+)
+from svgeom.geodesics_reach import curvature_closed_form
+from svgeom.manifold import (
+    SegrePoint,
+    _best_rank_one,
+    _quadratic_forms,
+    base_point,
+    embed,
     max_correlation_batch,
     normal_split,
+    orthonormal_complement,
     project_components,
-    random_orthogonal,
     random_segre_point,
     rank_one_distance,
     tangent_frame,
     veronese_embed,
-)
-from svgeom import manifold
-from svgeom.bw_algebra import multi_indices, veronese_coeffs
-from svgeom.manifold import (
-    _best_rank_one,
-    _quadratic_forms,
-    orthonormal_complement,
 )
 from svgeom.montecarlo import _hits
 

@@ -13,19 +13,20 @@ from svgeom import (
     MatchingProblem,
     ResourceError,
     SpaceSpec,
-    VarianceProfile,
-    expected_det_isserlis,
     expected_minor_sum,
-    expected_minor_sum_exact,
     matching_count,
     matching_determinant,
-    matching_determinant_exact,
     tube_volume,
     variance_profile,
+)
+from svgeom.matchings import (
+    expected_det_isserlis,
+    expected_minor_sum_exact,
+    matching_determinant_exact,
     weighted_matching_sum,
 )
 from svgeom import matchings
-from svgeom.weingarten import PROFILE_NAMES
+from svgeom.weingarten import PROFILE_NAMES, VarianceProfile
 
 from oracles import naive_matching_sum
 

@@ -14,10 +14,10 @@ from svgeom import (
     mc_expected_det,
     mc_minor_sum,
     mc_tube_volume,
-    sphere_volume,
     tube_volume,
     variance_profile,
 )
+from svgeom.tube import sphere_volume
 from svgeom.weingarten import PROFILE_NAMES
 
 

@@ -10,15 +10,17 @@ from svgeom import (
     DomainError,
     ResourceError,
     SpaceSpec,
+    reach,
+    tube_volume,
+    variance_profile,
+)
+from svgeom.tube import (
     chi2_moment,
     manifold_volume,
     radial_integral,
     radial_integral_quadrature,
-    reach,
     sphere_volume,
     tube_coefficient,
-    tube_volume,
-    variance_profile,
 )
 from svgeom.matchings import MINOR_MODES, expected_minor_sum_exact
 from svgeom.weingarten import DEFAULT_PROFILE, PROFILE_NAMES

@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from svgeom import (
-    DomainError,
-    SpaceSpec,
-    Tensor,
-    assemble_weingarten,
-    gaussian_tensor,
-    normal_split,
-    sample_gaussian_weingarten,
-    second_fundamental_form_fd,
-    variance_profile,
-)
+from svgeom import DomainError, SpaceSpec, variance_profile
+from svgeom.bw_algebra import Tensor, gaussian_tensor
+from svgeom.manifold import normal_split
 from svgeom.weingarten import (
+    assemble_weingarten,
     gaussian_weingarten_batch,
     principal_minor_sums_batch,
     sample_block_matrix_batch,
+    sample_gaussian_weingarten,
+    second_fundamental_form_fd,
 )
 
 from oracles import principal_minor_sum
