@@ -85,57 +85,31 @@ class SpaceSpec:
     """A tensor product of polynomial factors, given by dims and degrees.
 
     dims[i] is the number of variables minus one in factor i, degrees[i] its
-    homogeneity degree.  All derived dimensions are recomputed on demand.
+    homogeneity degree.  Set once after validation, the derived numbers are
+    plain attributes: r, total_degree, factor_dims, their product
+    ambient_dim, row-major strides, sphere_dim, and the rank-one manifold's
+    dimension manifold_dim = sum(dims) and codimension normal_dim.
     """
 
     dims: tuple[int, ...]
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
-        object.__setattr__(self, "degrees", tuple(int(v) for v in self.degrees))
-        if len(self.dims) != len(self.degrees) or len(self.dims) < 1:
+        dims, degrees = tuple(map(int, self.dims)), tuple(map(int, self.degrees))
+        if len(dims) != len(degrees) or len(dims) < 1:
             raise DomainError("dims and degrees must be equal-length, nonempty")
-        if any(v < 1 for v in self.dims) or any(v < 1 for v in self.degrees):
+        if min(dims) < 1 or min(degrees) < 1:
             raise DomainError("all dims and degrees must be >= 1")
-
-    @property
-    def r(self) -> int:
-        return len(self.dims)
-
-    @property
-    def manifold_dim(self) -> int:
-        """Dimension of the rank-one manifold: sum of the factor dims."""
-        return sum(self.dims)
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.degrees)
-
-    @property
-    def factor_dims(self) -> tuple[int, ...]:
-        return tuple(num_indices(n, d) for n, d in zip(self.dims, self.degrees))
-
-    @property
-    def ambient_dim(self) -> int:
-        return math.prod(self.factor_dims)
-
-    @property
-    def sphere_dim(self) -> int:
-        return self.ambient_dim - 1
-
-    @property
-    def normal_dim(self) -> int:
-        """Codimension of the rank-one manifold inside the unit sphere."""
-        return self.sphere_dim - self.manifold_dim
-
-    def strides(self) -> tuple[int, ...]:
-        """Row-major strides of the factor-rank layout."""
-        out, acc = [], 1
-        for fd in reversed(self.factor_dims):
-            out.append(acc)
-            acc *= fd
-        return tuple(reversed(out))
+        factor_dims = tuple(map(num_indices, dims, degrees))
+        ambient = math.prod(factor_dims)
+        strides = tuple(math.prod(factor_dims[i + 1:])
+                        for i in range(len(dims)))
+        # The instance dict bypasses the frozen __setattr__.
+        self.__dict__.update(
+            dims=dims, degrees=degrees, r=len(dims), total_degree=sum(degrees),
+            factor_dims=factor_dims, ambient_dim=ambient, strides=strides,
+            sphere_dim=ambient - 1, manifold_dim=sum(dims),
+            normal_dim=ambient - 1 - sum(dims))
 
     def to_json_dict(self) -> dict:
         return {"dims": list(self.dims), "degrees": list(self.degrees)}

@@ -15,6 +15,7 @@ curvature and is kept implicit.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -138,7 +139,7 @@ class NormalSplit:
 
 
 def _global_index(space: SpaceSpec, ranks) -> int:
-    return int(sum(r * s for r, s in zip(ranks, space.strides())))
+    return int(sum(r * s for r, s in zip(ranks, space.strides)))
 
 
 @lru_cache(maxsize=128)
@@ -310,30 +311,40 @@ def _is_positive_definite(a: Array, diagonal: float, sign: float) -> Array:
     return definite
 
 
-def _grid_angles(d: int) -> Array:
-    """The 2d + 1 angles k pi / (d + 1) at which binary d-forms are sampled
-    on the circle."""
-    return math.pi * np.arange(2 * d + 1) / (d + 1)
+_CirclePlan = namedtuple("_CirclePlan", "angles windows inverse veronese")
+
+
+@lru_cache(maxsize=None)
+def _circle_plan(d: int) -> _CirclePlan:
+    """The circle solver's constants of degree d, read-only, built once:
+    the 2d + 1 grid angles k pi / (d + 1), the unit circle's Veronese
+    matrix at them, and `_turned_frame`'s window indices k + i and
+    transposed inverse of that matrix's first d + 1 rows."""
+    angles = math.pi * np.arange(2 * d + 1) / (d + 1)
+    veronese = veronese_coeffs(np.stack([np.cos(angles), np.sin(angles)],
+                                        axis=1), d)
+    plan = _CirclePlan(angles, np.add.outer(np.arange(d + 1), np.arange(d + 1)),
+                       np.linalg.inv(veronese[:d + 1]).T, veronese)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
 
 
 def _turned_frame(samples: Array, d: int, j: int) -> tuple[Array, Array]:
-    """Turn each binary d-form g, given by its values at the
-    `_grid_angles`, by the grid angle phi = k pi / (d + 1), k <= d, whose
-    turned form has the largest |coefficient j| in the orthonormal basis.
-    Returns phi and the monomial coefficients a of the turned form,
-    g(theta + phi) = sum_i a_i cos(theta)^(d-i) sin(theta)^i, one row per
-    form.
+    """Turn each binary d-form g, given by its values at the grid angles
+    of `_circle_plan(d)`, by the grid angle phi = k pi / (d + 1), k <= d,
+    whose turned form has the largest |coefficient j| in the orthonormal
+    basis.  Returns phi and the monomial coefficients a of the turned form,
+    g(theta + phi) = sum_i a_i cos(theta)^(d-i) sin(theta)^i, one row per form.
 
     The turned form's values at the first d + 1 grid angles are the
     samples k to k + d, so every turn is a solve with the same matrix.
     """
-    angles = _grid_angles(d)
-    circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    frames = (samples[:, np.add.outer(np.arange(d + 1), np.arange(d + 1))]
-              @ np.linalg.inv(veronese_coeffs(circle[:d + 1], d)).T)
+    plan = _circle_plan(d)
+    frames = samples[:, plan.windows] @ plan.inverse
     k = np.argmax(np.abs(frames[:, :, j]), axis=1)
     turned = frames[np.arange(samples.shape[0]), k]
-    return angles[k], turned * sqrt_multinomials(1, d)
+    return plan.angles[k], turned * sqrt_multinomials(1, d)
 
 
 def _real_parts_of_roots(q: Array) -> Array:
@@ -346,9 +357,9 @@ def _real_parts_of_roots(q: Array) -> Array:
     return np.linalg.eigvals(comp).real
 
 
-def _maximize_on_circle(c: Array, d: int, ell: Array, u: Array) -> Array:
-    """Global maximizer of |p(x)| = |<c, veronese(x, d)>| on each great
-    circle x = cos(theta) ell + sin(theta) u, for orthonormal ell and u.
+def _best_angle(samples: Array, d: int) -> Array:
+    """Angle of the global maximizer of |p| on the circle, per binary
+    d-form p given by its values at the grid angles of `_circle_plan(d)`.
 
     Turned by the grid angle phi = k pi / (d + 1) with the largest
     |p'(phi + pi/2)|, the critical points are the real roots of
@@ -357,17 +368,24 @@ def _maximize_on_circle(c: Array, d: int, ell: Array, u: Array) -> Array:
     square of p', so its companion matrix is well conditioned.  Every
     root's real part is a candidate, as a nearly double root may split.
     """
-    rows = np.arange(c.shape[0])
-    angles = _grid_angles(d)
-    cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
-    circle = cos * ell[:, None, :] + sin * u[:, None, :]
-    on_circle = np.einsum("mka,ma->mk", veronese_coeffs(circle, d), c)
-    phi, a = _turned_frame(on_circle, d, d - 1)
-    a_pad = np.pad(a, ((0, 0), (1, 1)))
-    q = np.arange(1, d + 2) * a_pad[:, 2:] - np.arange(d + 1, 0, -1) * a_pad[:, :-2]
+    phi, a = _turned_frame(samples, d, d - 1)
+    # q_i = (i + 1) a_(i+1) - (d + 1 - i) a_(i-1), with a_(-1) = a_(d+1) = 0
+    q = np.zeros_like(a)
+    q[:, :-1] = np.arange(1, d + 1) * a[:, 1:]
+    q[:, 1:] -= np.arange(d, 0, -1) * a[:, :-1]
     t = _real_parts_of_roots(q)
     values = polyval(t.T, a.T, tensor=False).T / (1.0 + t * t) ** (d / 2)
-    theta = phi + np.arctan(t[rows, np.argmax(np.abs(values), axis=1)])
+    return phi + np.arctan(t[np.arange(len(t)), np.argmax(np.abs(values), 1)])
+
+
+def _maximize_on_circle(c: Array, d: int, ell: Array, u: Array) -> Array:
+    """Global maximizer of |p(x)| = |<c, veronese(x, d)>| on each great
+    circle x = cos(theta) ell + sin(theta) u, for orthonormal ell and u:
+    p sampled at the grid angles, then `_best_angle`."""
+    angles = _circle_plan(d).angles[:, None]
+    circle = np.cos(angles) * ell[:, None, :] + np.sin(angles) * u[:, None, :]
+    samples = np.einsum("mka,ma->mk", veronese_coeffs(circle, d), c)
+    theta = _best_angle(samples, d)
     return np.cos(theta)[:, None] * ell + np.sin(theta)[:, None] * u
 
 
@@ -463,10 +481,10 @@ def rank_one_distance(f: Tensor) -> RankOneResult:
 
 def _circle_maximizer(c: Array, d: int) -> Array:
     """Global maximizer x of |<c, veronese(x, d)>| on the unit circle, per
-    row of a (batch, d + 1) array of binary d-forms."""
-    ell = np.broadcast_to([1.0, 0.0], c.shape[:1] + (2,))
-    u = np.broadcast_to([0.0, 1.0], c.shape[:1] + (2,))
-    return _maximize_on_circle(c, d, ell, u)
+    row of a (batch, d + 1) array of binary d-forms: each form sampled at
+    the grid angles by the plan's Veronese matrix, then `_best_angle`."""
+    theta = _best_angle(c @ _circle_plan(d).veronese.T, d)
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
 def _binary_times_linear(t: Array, d: int) -> Array:
@@ -504,10 +522,12 @@ def _pencil_top_singular_value(t: Array) -> Array:
     from D, not from pq - r^2, which cancels where s_1 is close to s_2, and
     sampled from the coefficients of p - q, r and F, formed once: D and D'
     then belong to one quartic, and a nearly double root stays nearly
-    double.  The octic vanishes identically only where s_1 or s_2 is
-    constant or s_1 = s_2, and there the maximizer theta_F of F also
-    maximizes s_1, so theta_F is always a candidate.  The value is s_1 at
-    the best candidate, which the rank-one point of its top singular
+    double.  It also vanishes where M drops rank (det M = 0 if m = 1), at a
+    kink of s_2 = sqrt(pq - r^2): extra candidates, not critical points of
+    s_1, and harmless for the maximum.  It vanishes identically only where
+    s_1 or s_2 is constant or s_1 = s_2, and there the maximizer theta_F of
+    F also maximizes s_1, so theta_F is always a candidate.  The value is
+    s_1 at the best candidate, which the rank-one point of its top singular
     vectors attains.
     """
     g = np.einsum("mxyc,mzwc->mxyzw", t, t)
@@ -530,7 +550,7 @@ def _pencil_top_singular_value(t: Array) -> Array:
                 + c[:, 2, None] * mono[2])
 
     f, e, r = gram(0, 0) + gram(1, 1), gram(0, 0) - gram(1, 1), gram(0, 1)
-    grid = monomials(_grid_angles(8)[None, :])
+    grid = monomials(_circle_plan(8).angles[None, :])
     ek, rk = at(e, grid), at(r, grid)
     octic = (at(derivative(f), grid) ** 2 * (ek * ek + 4.0 * rk * rk)
              - (ek * at(derivative(e), grid)

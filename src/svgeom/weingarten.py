@@ -54,6 +54,11 @@ class VarianceProfile:
         if any(v < 0 for v in values):
             raise DomainError("variances must be nonnegative")
         object.__setattr__(self, "within_offdiag", values)
+        # Name left out: str hashes, unlike Fraction ones, vary by process.
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __hash__(self):
+        return self._hash
 
 
 # Profile name -> within-block off-diagonal variance for a factor of degree d.

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -282,6 +283,26 @@ def test_space_derived_dimensions():
     assert space.normal_dim == 29
 
 
+def test_space_dimensions_follow_their_formulas():
+    # Every space with at most three factors and n, d <= 4.  The strides
+    # are the element strides of a C-ordered array of the factor dims.
+    for r in (1, 2, 3):
+        for dims in itertools.product(range(1, 5), repeat=r):
+            for degrees in itertools.product(range(1, 5), repeat=r):
+                space = SpaceSpec(list(dims), list(degrees))
+                factor = tuple(math.comb(n + d, n)
+                               for n, d in zip(dims, degrees))
+                assert (space.dims, space.degrees) == (dims, degrees)
+                assert space.r == r and space.total_degree == sum(degrees)
+                assert space.factor_dims == factor
+                assert space.ambient_dim == math.prod(factor)
+                assert space.sphere_dim == math.prod(factor) - 1
+                assert space.manifold_dim == sum(dims)
+                assert space.normal_dim == math.prod(factor) - 1 - sum(dims)
+                assert space.strides == tuple(
+                    s // 8 for s in np.empty(factor).strides)
+
+
 def test_space_rejects_bad_input():
     with pytest.raises(DomainError):
         SpaceSpec((), ())
@@ -291,6 +312,18 @@ def test_space_rejects_bad_input():
         SpaceSpec((0,), (1,))
     with pytest.raises(DomainError):
         SpaceSpec((1,), (0,))
+    # math.comb(n + d, n) raises ValueError on each of these, so the
+    # dimensions must be derived only after the checks.
+    for dims, degrees in [((-1,), (2,)), ((2,), (-3,)), ((1, -2), (1, 1)),
+                          ((3,), (-1,)), ((-2, 1), (2, 1))]:
+        with pytest.raises(DomainError):
+            SpaceSpec(dims, degrees)
+
+
+def test_equal_spaces_hash_equal():
+    a, b = SpaceSpec((2, 1), (1, 3)), SpaceSpec([2.0, 1], (1, 3))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != SpaceSpec((1, 2), (3, 1))
 
 
 def test_embed_norm_scales_with_input():

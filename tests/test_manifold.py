@@ -629,6 +629,64 @@ def _circle_max(coeffs, d):
     return float(np.max(np.abs(deriv(theta, 0))))
 
 
+@pytest.mark.parametrize("d", range(2, 17))
+def test_circle_plan_is_read_only_and_what_it_says(d):
+    plan = manifold._circle_plan(d)
+    assert manifold._circle_plan(d) is plan
+    for a in plan:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0
+    angles = math.pi * np.arange(2 * d + 1) / (d + 1)
+    assert np.allclose(plan.angles, angles, rtol=0.0, atol=1e-15)
+    circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    assert np.allclose(plan.veronese, veronese_coeffs(circle, d),
+                       rtol=0.0, atol=1e-15)
+    # Turn k reads the samples k..k+d, and the solve takes a form's samples
+    # at the first d + 1 angles back to its coefficients.
+    assert np.array_equal(plan.windows,
+                          np.add.outer(np.arange(d + 1), np.arange(d + 1)))
+    c = np.random.default_rng([27, d]).standard_normal((5, d + 1))
+    assert np.allclose((c @ plan.veronese[:d + 1].T) @ plan.inverse, c,
+                       rtol=0.0, atol=1e-12)
+
+
+def _binary_rows(d, rng):
+    """Random rows, zero rows, x^d, y^d and, for even d, (x^2 + y^2)^(d/2),
+    which is 1 on the whole unit circle, as binary d-forms."""
+    rows = [rng.standard_normal((200, d + 1)), np.zeros((3, d + 1)),
+            np.eye(d + 1)[[0, d]]]
+    if d % 2 == 0:
+        m = d // 2
+        sq = np.sqrt([math.comb(d, a) for a in range(d + 1)])
+        rows.append(np.array([[math.comb(m, a // 2) / sq[a] if a % 2 == 0
+                               else 0.0 for a in range(d + 1)]]))
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_circle_maximizer_attains_the_generic_maximum(d):
+    # `_circle_maximizer` samples through the plan's Veronese matrix; the
+    # generic great-circle solver on e_0, e_1 is its oracle, and a dense
+    # scan of |p| bounds both from below.
+    c = _binary_rows(d, np.random.default_rng([26, d]))
+    scale = np.linalg.norm(c, axis=1)
+    e0 = np.broadcast_to([1.0, 0.0], (c.shape[0], 2))
+    e1 = np.broadcast_to([0.0, 1.0], (c.shape[0], 2))
+
+    def value(x):
+        return np.abs(np.einsum("ma,ma->m", c, veronese_coeffs(x, d)))
+
+    got = value(manifold._circle_maximizer(c, d))
+    generic = value(manifold._maximize_on_circle(c, d, e0, e1))
+    assert np.all(np.abs(got - generic) <= 1e-14 * scale)
+    theta = np.linspace(0.0, math.pi, 4096, endpoint=False)
+    scan = np.abs(c @ veronese_coeffs(np.stack([np.cos(theta), np.sin(theta)],
+                                               axis=1), d).T)
+    assert np.all(got >= np.max(scan, axis=1) - 1e-14 * scale)
+    # x^d, y^d and (x^2 + y^2)^(d/2), the last rows, reach 1.
+    assert np.all(got[-3 if d % 2 == 0 else -2:] > 1.0 - 1e-14)
+
+
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_binary_forms_match_circle_scan(d):
     space = SpaceSpec((1,), (d,))

@@ -338,6 +338,22 @@ def test_default_profile_shares_one_memo_entry():
     assert memo_size() == len(implicit.terms)
 
 
+def test_equal_spaces_and_profiles_share_memo_entries():
+    # Specs and profiles are rebuilt per call by the CLI and the benchmark
+    # worker; equal ones must hash equal and hit the same entries.
+    def volume(dims, degrees):
+        return tube_volume(SpaceSpec(dims, degrees), 0.3,
+                           profile=variance_profile("weingarten", degrees))
+
+    first = volume((2, 1), (2, 2))
+    hits = tube_module._tube_coefficient.cache_info().hits
+    again = volume([2, 1], [2.0, 2])
+    assert again.to_json_dict() == first.to_json_dict()
+    assert (tube_module._tube_coefficient.cache_info().hits
+            == hits + len(first.terms))
+    assert memo_size() == len(first.terms)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"eps": 3.0}, {"eps": math.nan}, {"eps": -0.1},
     {"eps": 0.3, "exponent_convention": "bogus"}])
