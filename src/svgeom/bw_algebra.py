@@ -146,14 +146,6 @@ def bw_inner(f: Tensor, g: Tensor) -> float:
     return float(np.dot(f.coeffs, g.coeffs))
 
 
-def angular_distance(f: Tensor, g: Tensor) -> float:
-    """Geodesic distance on the unit sphere, arccos of the inner product."""
-    _check_same_space(f, g)
-    if not (abs(f.norm - 1.0) <= 1e-9 and abs(g.norm - 1.0) <= 1e-9):
-        raise DomainError("angular_distance requires unit-norm tensors")
-    return float(np.arccos(np.clip(np.dot(f.coeffs, g.coeffs), -1.0, 1.0)))
-
-
 def evaluate(f: Tensor, ell) -> float:
     """Evaluate a single-factor polynomial at the coefficient vector ell.
 

@@ -116,8 +116,7 @@ class NormalSplit:
 
     Every listed basis element is a single coefficient slot of the ambient
     space, recorded by its global index.  The flat remainder of the normal
-    space is kept implicit; only its dimension and a membership test are
-    materialized.
+    space is kept implicit; only its dimension is recorded.
     """
 
     space: SpaceSpec
@@ -129,13 +128,6 @@ class NormalSplit:
     g_indices: Array
     p_dim: int
     base_index: int = 0
-
-    def in_flat_complement(self, f: Tensor) -> bool:
-        """Membership test for the flat normal block: the norm of f outside
-        it is at most 1e-10 max(1, |f|)."""
-        comp = project_components(f, self)
-        other = math.sqrt(abs(f.norm ** 2 - comp.p_norm ** 2))
-        return other <= 1e-10 * max(1.0, f.norm)
 
 
 def _global_index(space: SpaceSpec, ranks) -> int:
@@ -381,7 +373,8 @@ def _best_angle(samples: Array, d: int) -> Array:
 def _maximize_on_circle(c: Array, d: int, ell: Array, u: Array) -> Array:
     """Global maximizer of |p(x)| = |<c, veronese(x, d)>| on each great
     circle x = cos(theta) ell + sin(theta) u, for orthonormal ell and u:
-    p sampled at the grid angles, then `_best_angle`."""
+    p sampled at the grid angles, then `_best_angle`: the SS-HOPM step of
+    `_maximize_factor`."""
     angles = _circle_plan(d).angles[:, None]
     circle = np.cos(angles) * ell[:, None, :] + np.sin(angles) * u[:, None, :]
     samples = np.einsum("mka,ma->mk", veronese_coeffs(circle, d), c)
@@ -392,11 +385,12 @@ def _maximize_on_circle(c: Array, d: int, ell: Array, u: Array) -> Array:
 def _maximize_factor(c: Array, n: int, d: int, ell: Array) -> Array:
     """Unit forms raising |<c, veronese(ell, d)>|, one per row of c.
 
-    Degrees one and two get a global maximizer.  Higher degrees take the
-    SS-HOPM step (Kolda and Mayo, SIMAX 32, 2011) whose shift maximizes |p|
-    on the great circle through ell and its gradient, which holds every
-    shifted step, so |p| never decreases; for binary forms that circle is
-    the whole circle, and the step is a global maximizer.
+    Degrees one and two get a global maximizer, and so do binary forms of
+    higher degree, from `_circle_maximizer`, the exact paths' solver.
+    Higher degrees in three or more variables take the SS-HOPM step (Kolda
+    and Mayo, SIMAX 32, 2011) whose shift maximizes |p| on the great
+    circle through ell and its gradient, which holds every shifted step,
+    so |p| never decreases.
     """
     if d == 1:
         norm = np.linalg.norm(c, axis=1, keepdims=True)
@@ -404,6 +398,8 @@ def _maximize_factor(c: Array, n: int, d: int, ell: Array) -> Array:
     if d == 2:
         vals, vecs = np.linalg.eigh(np.moveaxis(_quadratic_forms(c.T, n), -1, 0))
         return vecs[np.arange(c.shape[0]), :, np.argmax(np.abs(vals), axis=1)]
+    if n == 1:
+        return _circle_maximizer(c, d)
     grad = d * np.einsum("jmb,mb->mj", c @ multiply_table(n, d),
                          veronese_coeffs(ell, d - 1))
     frame = np.linalg.qr(np.stack([ell, grad], axis=-1))[0]  # columns +-ell, u
@@ -583,7 +579,7 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
       matrix, the square root of the largest eigenvalue of its Gram matrix
       on the smaller side, also from `eigvalsh`.
     - One binary factor of degree three or more: |p| at the global
-      maximizer `_maximize_on_circle` finds on the whole circle.
+      maximizer `_circle_maximizer` finds on the whole circle.
     - A binary factor of degree two or more and a degree-one factor, in
       either order: the linear factor is eliminated, which leaves one
       binary form of twice the degree on the circle

@@ -24,7 +24,7 @@ from .manifold import (
     max_correlation_batch,
 )
 from .matchings import MatchingProblem
-from .tube import _check_radius, sphere_volume
+from .tube import _check_index, _check_radius, sphere_volume
 from .weingarten import (
     gaussian_weingarten_batch,
     principal_minor_sums_batch,
@@ -130,8 +130,7 @@ def mc_expected_det(problem: MatchingProblem, cfg: McConfig, *,
 
 def mc_minor_sum(space: SpaceSpec, i: int, cfg: McConfig) -> McStats:
     """Average sum of 2i x 2i principal minors of sampled shape operators."""
-    if not 0 <= 2 * i <= space.manifold_dim:
-        raise DomainError(f"minor index {i} out of range for this space")
+    _check_index(i, space)
     chunks = []
     for rng, count in _batch_streams(cfg):
         mats = gaussian_weingarten_batch(space, rng, count)

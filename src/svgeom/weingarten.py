@@ -225,12 +225,14 @@ def sample_gaussian_weingarten(space: SpaceSpec, seed: int,
     """One random shape operator, deterministic per seed.
 
     method "assemble" draws Gaussian normal coordinates and assembles the
-    operator (the canonical path).  method "direct" uses the block sampler
-    with the given profile; the default profile is the one that reproduces
-    the assembled distribution.
+    operator (the canonical path) and takes no profile.  method "direct"
+    uses the block sampler with the given profile; the default profile is
+    the one that reproduces the assembled distribution.
     """
     rng = np.random.default_rng(seed)
     if method == "assemble":
+        if profile is not None:
+            raise DomainError("a variance profile applies to method 'direct' only")
         mat = gaussian_weingarten_batch(space, rng, 1)[0]
     elif method == "direct":
         profile = profile or variance_profile("weingarten", space.degrees)
@@ -266,8 +268,6 @@ def principal_minor_sums_batch(mats: Array, k: int) -> Array:
     count, n = mats.shape[0], mats.shape[-1]
     if not 0 <= k <= n:
         raise DomainError(f"minor order {k} out of range 0..{n}")
-    if k == 0:
-        return np.ones(count)
     if k > POWER_SUM_MAX_ORDER:
         lam = np.linalg.eigvalsh(mats)
         coeffs = np.zeros((count, n + 1))

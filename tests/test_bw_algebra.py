@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from svgeom import DomainError, SpaceSpec
 from svgeom.bw_algebra import (
     Tensor,
-    angular_distance,
     apply_orthogonal,
     basis_rank,
     bw_inner,
@@ -115,27 +114,6 @@ def test_product_rule_for_simple_tensors():
         expected = math.prod(float(np.dot(a, b))
                              for a, b in zip(f_factors, g_factors))
         assert bw_inner(f, g) == pytest.approx(expected, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# angular distance
-# ---------------------------------------------------------------------------
-
-def test_angular_distance_endpoints():
-    space = SpaceSpec((1,), (2,))
-    e = Tensor(space, [1.0, 0.0, 0.0])
-    minus_e = Tensor(space, [-1.0, 0.0, 0.0])
-    other = Tensor(space, [0.0, 1.0, 0.0])
-    assert angular_distance(e, e) == 0.0
-    assert angular_distance(e, minus_e) == pytest.approx(math.pi)
-    assert angular_distance(e, other) == pytest.approx(math.pi / 2)
-
-
-def test_angular_distance_requires_unit_norm():
-    space = SpaceSpec((1,), (2,))
-    e = Tensor(space, [1.0, 0.0, 0.0])
-    with pytest.raises(DomainError):
-        angular_distance(e, Tensor(space, [2.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

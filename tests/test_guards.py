@@ -1,0 +1,79 @@
+"""Every input guard that no other test reaches raises DomainError."""
+
+import numpy as np
+import pytest
+
+from svgeom import DomainError, MatchingProblem, SpaceSpec, tube_volume, variance_profile
+from svgeom.bw_algebra import Tensor, apply_orthogonal, evaluate
+from svgeom.geodesics_reach import curvature_closed_form
+from svgeom.manifold import (
+    SegrePoint,
+    max_correlation_batch,
+    normal_split,
+    project_components,
+)
+from svgeom.tube import chi2_moment
+from svgeom.weingarten import (
+    WeingartenMatrix,
+    principal_minor_sums_batch,
+    sample_block_matrix_batch,
+    sample_gaussian_weingarten,
+    second_fundamental_form_fd,
+)
+
+QUADRATIC = SpaceSpec((1,), (2,))
+CUBIC = SpaceSpec((1,), (3,))
+E0 = Tensor(QUADRATIC, [1.0, 0.0, 0.0])
+
+# name: (call, a pattern of the guard's message, so that no other guard
+# on the way can stand in for it)
+_GUARDS = {
+    "Tensor coefficient length": (
+        lambda: Tensor(QUADRATIC, [1.0, 0.0]), "coefficient length"),
+    "evaluate point length": (
+        lambda: evaluate(E0, [1.0, 0.0, 0.0]), "coordinates"),
+    "apply_orthogonal matrix count": (
+        lambda: apply_orthogonal(E0, []), "expected 1 matrices"),
+    "apply_orthogonal square matrix": (
+        lambda: apply_orthogonal(E0, [np.ones((2, 3))]), "square"),
+    "apply_orthogonal matrix size": (
+        lambda: apply_orthogonal(E0, [np.eye(3)]), "factor dimension"),
+    "curvature_closed_form lengths": (
+        lambda: curvature_closed_form([1.0], [2, 3]), "equal length"),
+    "SegrePoint form count": (
+        lambda: SegrePoint(SpaceSpec((1, 1), (1, 1)), ([1.0, 0.0],)),
+        "one linear form per factor"),
+    "SegrePoint form length": (
+        lambda: SegrePoint(QUADRATIC, ([1.0, 0.0, 0.0],)), "form length"),
+    "project_components space": (
+        lambda: project_components(E0, normal_split(CUBIC)), "different spaces"),
+    "max_correlation_batch shape": (
+        lambda: max_correlation_batch(QUADRATIC, np.zeros((2, 4))), "batch shape"),
+    "MatchingProblem profile length": (
+        lambda: MatchingProblem((2,), (2,), variance_profile("weingarten", (2, 3))),
+        "profile length"),
+    "chi2_moment arguments": (
+        lambda: chi2_moment(-1, 2), "invalid moment arguments"),
+    "tube_volume codimension": (
+        lambda: tube_volume(SpaceSpec((1,), (1,)), 0.3), "positive codimension"),
+    "WeingartenMatrix shape": (
+        lambda: WeingartenMatrix(QUADRATIC, np.zeros((2, 2))), "1x1"),
+    "sample_block_matrix_batch profile length": (
+        lambda: sample_block_matrix_batch((2, 1), variance_profile("weingarten", (2,)),
+                                          np.random.default_rng(0), 3),
+        "equal length"),
+    "sample_gaussian_weingarten method": (
+        lambda: sample_gaussian_weingarten(QUADRATIC, 1, "other"), "method must be"),
+    "principal_minor_sums_batch order": (
+        lambda: principal_minor_sums_batch(np.zeros((2, 3, 3)), 4), "out of range"),
+    "second_fundamental_form_fd space": (
+        lambda: second_fundamental_form_fd(QUADRATIC, [1.0], Tensor(CUBIC, np.zeros(4))),
+        "different space"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDS))
+def test_input_guard_raises(name):
+    call, message = _GUARDS[name]
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -10,7 +10,6 @@ from svgeom import DomainError, SpaceSpec
 from svgeom import manifold
 from svgeom.bw_algebra import (
     Tensor,
-    angular_distance,
     apply_orthogonal,
     bw_inner,
     evaluate,
@@ -216,15 +215,12 @@ def test_project_parseval(seed):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_tensor_is_rejected(bad):
-    # The bad entry sits in the W block; unchecked, p_norm came out NaN and
-    # the flat-complement test answered False.
+    # The bad entry sits in the W block; unchecked, p_norm came out NaN.
     space = SpaceSpec((1,), (2,))
     split = normal_split(space)
     f = Tensor(space, [0.0, 0.0, bad])
     with pytest.raises(DomainError, match="finite"):
         project_components(f, split)
-    with pytest.raises(DomainError, match="finite"):
-        split.in_flat_complement(f)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +317,8 @@ def test_distance_is_lipschitz():
             f = Tensor(space, f.coeffs / f.norm)
             g = Tensor(space, g.coeffs / g.norm)
             df, dg = rank_one_distance(f).distance, rank_one_distance(g).distance
-            assert abs(df - dg) <= angular_distance(f, g) + 1e-6
+            angle = math.acos(min(max(float(f.coeffs @ g.coeffs), -1.0), 1.0))
+            assert abs(df - dg) <= angle + 1e-6
 
 
 def test_distance_requires_unit_norm():
@@ -687,6 +684,28 @@ def test_circle_maximizer_attains_the_generic_maximum(d):
     assert np.all(got[-3 if d % 2 == 0 else -2:] > 1.0 - 1e-14)
 
 
+@pytest.mark.parametrize("d", range(3, 9))
+def test_hopm_binary_step_is_the_circle_maximizer(d, monkeypatch):
+    # The alternating maximization's step on a binary factor of degree
+    # >= 3 is `_circle_maximizer`, so it needs no great-circle sampling and
+    # still reaches the global maximum against a dense scan.
+    def unused(*args):
+        raise AssertionError("the binary step sampled a great circle")
+
+    monkeypatch.setattr(manifold, "_maximize_on_circle", unused)
+    rng = np.random.default_rng([44, d])
+    c = _binary_rows(d, rng)
+    ell = rng.standard_normal((c.shape[0], 2))
+    ell /= np.linalg.norm(ell, axis=1, keepdims=True)
+    x = manifold._maximize_factor(c, 1, d, ell)
+    assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    got = np.abs(np.einsum("ma,ma->m", c, veronese_coeffs(x, d)))
+    theta = np.linspace(0.0, math.pi, 4096, endpoint=False)
+    scan = np.abs(c @ veronese_coeffs(np.stack([np.cos(theta), np.sin(theta)],
+                                               axis=1), d).T)
+    assert np.all(got >= np.max(scan, axis=1) - 1e-14 * np.linalg.norm(c, axis=1))
+
+
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_binary_forms_match_circle_scan(d):
     space = SpaceSpec((1,), (d,))
@@ -848,16 +867,6 @@ def test_rank_one_distance_flags_non_convergence(monkeypatch):
     assert 0.0 <= res.distance <= math.pi / 2
 
 
-def test_flat_complement_membership():
-    space = SpaceSpec((1,), (3,))
-    split = normal_split(space)
-    flat = np.zeros(space.ambient_dim)
-    flat[-1] = 1.0  # drops the leading exponent by three
-    assert split.in_flat_complement(Tensor(space, flat))
-    assert not split.in_flat_complement(
-        Tensor(space, np.eye(space.ambient_dim)[split.w_indices[0]]))
-
-
 def _nan_tensor(space):
     coeffs = np.zeros(space.ambient_dim)
     coeffs[0] = math.nan
@@ -867,8 +876,6 @@ def _nan_tensor(space):
 _NAN_CALLS = {
     "rank_one_distance": lambda: rank_one_distance(
         _nan_tensor(SpaceSpec((1, 1), (2, 1)))),
-    "angular_distance": lambda: angular_distance(
-        _nan_tensor(SpaceSpec((1,), (2,))), embed(base_point(SpaceSpec((1,), (2,))))),
     "curvature_closed_form": lambda: curvature_closed_form([math.nan], [2]),
     "SegrePoint": lambda: SegrePoint(SpaceSpec((1,), (2,)), ([math.nan, 1.0],)),
 }

@@ -145,6 +145,15 @@ def test_sampler_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_assembled_sampler_rejects_a_profile():
+    # The assembled operator has no variance profile, so one passed with it
+    # would be ignored.
+    space = SpaceSpec((2,), (2,))
+    profile = variance_profile("def-d", space.degrees)
+    with pytest.raises(DomainError, match="direct"):
+        sample_gaussian_weingarten(space, 3, "assemble", profile)
+
+
 def test_segre_samples_have_zero_diagonal_blocks():
     space = SpaceSpec((2, 2), (1, 1))
     mats = gaussian_weingarten_batch(space, np.random.default_rng(0), 100)
