@@ -613,14 +613,15 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
     binary_linear = (linear is not None and dims[1 - linear] == 1
                      and degrees[1 - linear] >= 2)
     pencil = degrees == (1, 1, 1) and dims.count(1) >= 2
-    if not (quadratic or binary or binary_linear or pencil
-            or degrees == (1, 1)):
-        return _best_rank_one(space, points, BATCH_RESTARTS, 200)[0]
-    # The exact kernels square entries (the Gram matrices) or raise them
-    # to the degree, so each row is scaled to largest |entry| 1 first:
-    # otherwise entries beyond about 1e+-150 underflow or overflow them.
+    # The exact kernels, which HOPM's factor steps share, square entries
+    # (the Gram matrices) or raise them to the degree, and HOPM's stopping
+    # rule takes row norms, so each row is scaled to largest |entry| 1
+    # first: otherwise entries beyond about 1e+-150 underflow or overflow.
     scale = np.max(np.abs(points), axis=1, initial=0.0)
     unit = points / np.where(scale > 0.0, scale, 1.0)[:, None]
+    if not (quadratic or binary or binary_linear or pencil
+            or degrees == (1, 1)):
+        return scale * _best_rank_one(space, unit, BATCH_RESTARTS, 200)[0]
     if quadratic:
         lam = np.linalg.eigvalsh(
             np.moveaxis(_quadratic_forms(unit.T, dims[0]), -1, 0))

@@ -11,10 +11,13 @@ kept in a memo of at most 1024 entries (`_tube_coefficient`).  A repeated
 call on the same space, profile and minor mode, at any radius or exponent
 convention, evaluates only the radial integrals.
 
-The radial integrals J_i = B_x(p, q) / 2, with x = sin^2 eps, come from an
-incomplete beta computed in log space in pure Python (lgamma and a
-continued fraction), and every one is cross-checked against adaptive
-Simpson quadrature cut around the kernel's peak.
+The radial integrals J_i = B_x(p_i, q_i) / 2, with x = sin^2 eps, are
+incomplete betas whose neighbouring orders differ by p -> p - 1,
+q -> q + 1.  One radius costs one continued fraction (lgamma and modified
+Lentz, in pure Python) for the top order, then a downward recurrence in log
+space for the others (`_log_betas`); every J_i is cross-checked against
+adaptive Simpson quadrature cut around the kernel's peak.  The same log
+values give `log_volume`, which stays finite where the volume underflows.
 
 Two printed conventions are kept selectable so they can be adjudicated
 against direct Monte Carlo volume estimates: the exponent of the sine in the
@@ -41,12 +44,24 @@ from .weingarten import DEFAULT_PROFILE, VarianceProfile, variance_profile
 EXPONENT_CONVENTIONS = ("corrected", "paper")
 
 
-def sphere_volume(k: int) -> float:
-    """Volume of the unit k-sphere, 2 pi^((k+1)/2) / Gamma((k+1)/2)."""
+def _log_sphere_volume(k: int) -> float:
+    """log of `sphere_volume(k)`, finite where the volume underflows."""
     if k < 0:
         raise DomainError("sphere dimension must be nonnegative")
     half = (k + 1) / 2.0
-    return math.exp(math.log(2.0) + half * math.log(math.pi) - math.lgamma(half))
+    return math.log(2.0) + half * math.log(math.pi) - math.lgamma(half)
+
+
+def sphere_volume(k: int) -> float:
+    """Volume of the unit k-sphere, 2 pi^((k+1)/2) / Gamma((k+1)/2)."""
+    return math.exp(_log_sphere_volume(k))
+
+
+def _log_manifold_volume(space: SpaceSpec) -> float:
+    """log of `manifold_volume`, finite where the volume underflows."""
+    return (sum(n / 2.0 * math.log(d) + _log_sphere_volume(n)
+                for n, d in zip(space.dims, space.degrees))
+            - (space.r - 1) * math.log(2.0))
 
 
 def manifold_volume(space: SpaceSpec) -> float:
@@ -55,10 +70,7 @@ def manifold_volume(space: SpaceSpec) -> float:
     Each factor contributes d_i^(n_i/2) times the volume of its sphere; the
     product map identifies 2^(r-1) sign patterns, hence the division.
     """
-    vol = 1.0
-    for n, d in zip(space.dims, space.degrees):
-        vol *= d ** (n / 2.0) * sphere_volume(n)
-    return vol / 2.0 ** (space.r - 1)
+    return math.exp(_log_manifold_volume(space))
 
 
 # ---------------------------------------------------------------------------
@@ -162,26 +174,71 @@ def _log_incomplete_beta(p: float, q: float, x: float, y: float) -> float:
                                            - complete))
 
 
-def radial_integral(i: int, space: SpaceSpec, eps: float,
-                    convention: str = "corrected") -> float:
-    """Closed form of int_0^eps sin^a cos^b through the incomplete beta.
+def _log_betas(space: SpaceSpec, eps: float, convention: str) -> list:
+    """log B_x(p_i, q_i) for i = 0 .. n // 2, with x = sin^2 eps, so that
+    J_i = B_x(p_i, q_i) / 2.
 
-    Cross-checked against adaptive quadrature on every call; a disagreement
-    beyond 1e-10 raises, since it would indicate a broken kernel.  The gap
-    is absolute, so it only guards terms of order one.
+    Order i has p_i = p_0 + i and q_i = q_0 - i.  The top order comes from
+    one continued fraction; each lower one from integration by parts of
+    t^p (1 - t)^q, B_x(p, q + 1) = (q B_x(p + 1, q) + x^p y^q) / p, which
+    adds two positive terms and so cannot cancel (the upward direction
+    subtracts them).
     """
-    a = _sine_exponent(i, space, convention)
-    b = space.manifold_dim - 2 * i
-    _check_index(i, space)
+    if space.normal_dim < 1:
+        raise DomainError("the manifold must have positive codimension")
     _check_radius(eps)
-    p, q = (a + 1) / 2.0, (b + 1) / 2.0
-    value = 0.5 * math.exp(_log_incomplete_beta(
-        p, q, math.sin(eps) ** 2, math.cos(eps) ** 2))
+    top = space.manifold_dim // 2
+    p = (_sine_exponent(top, space, convention) + 1) / 2.0
+    q = (space.manifold_dim - 2 * top + 1) / 2.0
+    x, y = math.sin(eps) ** 2, math.cos(eps) ** 2
+    if x <= 0.0:
+        return [-math.inf] * (top + 1)
+    log_x, log_y = math.log(x), math.log(y)
+    log_b = _log_incomplete_beta(p, q, x, y)
+    logs = [log_b]
+    for _ in range(top):
+        p -= 1.0
+        u, v = math.log(q) + log_b, p * log_x + q * log_y
+        hi, lo = (u, v) if u >= v else (v, u)
+        log_b = hi + math.log1p(math.exp(lo - hi)) - math.log(p)
+        q += 1.0
+        logs.append(log_b)
+    return logs[::-1]
+
+
+def radial_integrals(space: SpaceSpec, eps: float,
+                     convention: str = "corrected") -> tuple:
+    """J_0 .. J_{n // 2} at one radius, J_i = int_0^eps sin^a cos^b with
+    a the sine exponent of order i and b = n - 2i, from the incomplete beta.
+
+    One continued fraction gives the top order, and a downward recurrence
+    in log space the others (`_log_betas`).  Not cross-checked; see
+    `radial_integral`.
+    """
+    return tuple(0.5 * math.exp(b) for b in _log_betas(space, eps, convention))
+
+
+def _cross_checked(value: float, i: int, space: SpaceSpec, eps: float,
+                   convention: str) -> float:
     check = radial_integral_quadrature(i, space, eps, convention)
     if abs(value - check) > 1e-10:
         raise ArithmeticError(
             f"radial integral mismatch: beta {value} vs quadrature {check}")
     return value
+
+
+def radial_integral(i: int, space: SpaceSpec, eps: float,
+                    convention: str = "corrected") -> float:
+    """J_i = int_0^eps sin^a cos^b, entry i of `radial_integrals`: one
+    continued fraction at the top order, then the downward recurrence.
+
+    Cross-checked against adaptive quadrature on every call; a disagreement
+    beyond 1e-10 raises, since it would indicate a broken kernel.  The gap
+    is absolute, so it only guards terms of order one.
+    """
+    _check_index(i, space)
+    return _cross_checked(radial_integrals(space, eps, convention)[i],
+                          i, space, eps, convention)
 
 
 def _check_index(i: int, space: SpaceSpec) -> None:
@@ -247,6 +304,7 @@ class TubeReport:
     minor_mode: str
     profile_name: str
     volume: float
+    log_volume: float | None
     terms: tuple
     validity: bool
 
@@ -260,6 +318,7 @@ class TubeReport:
                 "profile": self.profile_name,
             },
             "volume": self.volume,
+            "log_volume": self.log_volume,
             "terms": [{"i": t.i, "a_i": t.a, "J_i": t.j,
                        "contribution": t.contribution} for t in self.terms],
             "validity": self.validity,
@@ -278,23 +337,30 @@ def tube_volume(space: SpaceSpec, eps: float,
     """Volume of the angular eps-neighborhood of the rank-one manifold.
 
     Valid below the reach; larger radii are still evaluated but flagged.
+    `log_volume` sums the same terms in log space, so it stays finite where
+    `volume` underflows; it is None where the sum is not positive.
     """
-    c = space.normal_dim
-    if c < 1:
-        raise DomainError("the manifold must have positive codimension")
-    _check_radius(eps)
-    if exponent_convention not in EXPONENT_CONVENTIONS:
-        raise DomainError(f"unknown convention {exponent_convention!r}")
+    log_betas = _log_betas(space, eps, exponent_convention)
     profile = profile or variance_profile(DEFAULT_PROFILE, space.degrees)
-    prefactor = manifold_volume(space) * sphere_volume(c - 1)
+    log_prefactor = (_log_manifold_volume(space)
+                     + _log_sphere_volume(space.normal_dim - 1))
+    prefactor = math.exp(log_prefactor)
     terms = []
     total = 0.0
-    for i in range(space.manifold_dim // 2 + 1):
+    for i, log_b in enumerate(log_betas):
         a_i = _tube_coefficient(space, profile, minor_mode, i)
-        j_i = radial_integral(i, space, eps, exponent_convention)
+        j_i = _cross_checked(0.5 * math.exp(log_b), i, space, eps,
+                             exponent_convention)
         contribution = prefactor * a_i * j_i
         total += contribution
         terms.append(TubeTerm(i, a_i, j_i, contribution))
+    # sum_i a_i B_i with the largest B_i factored out, J_i = B_i / 2.  If
+    # every B_i is 0 (x = 0), the shifted sum is NaN and gives None too.
+    shift = max(log_betas)
+    signed = math.fsum([t.a * math.exp(log_b - shift)
+                        for t, log_b in zip(terms, log_betas)])
+    log_volume = (log_prefactor - math.log(2.0) + shift + math.log(signed)
+                  if signed > 0.0 else None)
     validity = eps < reach(space).reach
     return TubeReport(space, eps, exponent_convention, minor_mode,
-                      profile.name, total, tuple(terms), validity)
+                      profile.name, total, log_volume, tuple(terms), validity)

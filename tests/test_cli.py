@@ -110,6 +110,8 @@ def test_tube_subcommand(capsys, tmp_path):
     assert code == 0
     assert doc["volume"] == pytest.approx(
         4 * math.sqrt(2) * math.pi * math.sin(0.3), rel=1e-12)
+    assert doc["log_volume"] == pytest.approx(math.log(doc["volume"]),
+                                              abs=1e-12)
     assert doc["validity"] is True
     assert csv.exists()
 
@@ -192,7 +194,11 @@ def _reject_constant(name):
     *(pytest.param(name, argv, id=name) for name, argv in MINIMAL_ARGV.items()),
     # One sample has an infinite standard error, once printed as Infinity.
     pytest.param("mc-det", ["--dims", "2", "--degrees", "2", "--samples", "1"],
-                 id="mc-det-one-sample")])
+                 id="mc-det-one-sample"),
+    # A negative volume (def-d breaks the Gauss-Bonnet closure) has no log.
+    pytest.param("tube", ["--dims", "2,4", "--degrees", "2,3", "--epsilon",
+                          repr(math.pi / 2), "--profile", "def-d"],
+                 id="tube-negative-volume")])
 def test_output_is_strict_json(capsys, tmp_path, name, argv):
     path = tmp_path / "doc.json"
     assert main([name, *argv, "--json", str(path)]) == 0
@@ -202,6 +208,8 @@ def test_output_is_strict_json(capsys, tmp_path, name, argv):
     assert path.read_text() == text
     if argv[-2:] == ["--samples", "1"]:
         assert doc["std_error"] is None
+    if argv[-2:] == ["--profile", "def-d"]:
+        assert doc["volume"] < 0.0 and doc["log_volume"] is None
 
 
 def test_reused_parser_keeps_no_state(capsys):

@@ -592,6 +592,20 @@ def test_eigvalsh_paths_are_homogeneous_at_extreme_scales(dims, degrees):
         assert np.all(np.abs(got - base) <= 1e-14 * base)
 
 
+@pytest.mark.parametrize("dims,degrees", [((1, 1), (2, 3)),
+                                          ((1, 1, 1), (1, 1, 3)),
+                                          ((2,), (3,))])
+def test_hopm_path_is_homogeneous_at_extreme_scales(dims, degrees):
+    # Unscaled rows of these sizes overflow or underflow HOPM's row norms
+    # and factor updates.
+    space = SpaceSpec(dims, degrees)
+    points = np.random.default_rng(25).standard_normal((50, space.ambient_dim))
+    base = max_correlation_batch(space, points)
+    for scale in (1e-200, 1e200):
+        got = max_correlation_batch(space, scale * points) / scale
+        assert np.all(np.abs(got - base) <= 1e-12 * base)
+
+
 @pytest.mark.parametrize("dims,degrees", PATH_SPACES)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_batch_rejects_non_finite_rows(dims, degrees, bad):

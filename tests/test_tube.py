@@ -19,6 +19,7 @@ from svgeom.tube import (
     manifold_volume,
     radial_integral,
     radial_integral_quadrature,
+    radial_integrals,
     sphere_volume,
     tube_coefficient,
 )
@@ -107,27 +108,58 @@ def _mp_radial(i, space, eps, convention):
 
 
 def test_radial_integral_relative_accuracy():
-    # High codimension puts x = sin^2 eps below the mean p / (p + q) of the
-    # incomplete beta; low codimension and larger eps put it above, where
-    # the x <-> 1 - x symmetry applies; eps = pi/2 gives x = 1.
-    spaces = [SpaceSpec((3, 3), (2, 2)), SpaceSpec((6, 6, 6, 6), (1, 1, 1, 1)),
-              SpaceSpec((8, 8, 8), (1, 1, 2)), SpaceSpec((12, 12), (1, 1)),
-              SpaceSpec((2,), (3,)), SpaceSpec((1,), (2,))]
+    # Spaces with n <= 24 and codimension from 1 to over 6,000.  Only the
+    # top order runs the continued fraction: high codimension puts
+    # x = sin^2 eps below its mean p / (p + q), low codimension and larger
+    # eps put it above, where the x <-> 1 - x symmetry applies, and
+    # eps = pi/2 gives x = 1.  The lower orders come from the recurrence,
+    # so an error in its direction or index shows at every one of them.
+    spaces = [((1,), (2,)), ((2,), (3,)), ((1, 1), (1, 1)), ((3, 3), (2, 2)),
+              ((1, 23), (1, 1)), ((24,), (2,)), ((12, 12), (1, 1)),
+              ((4, 4, 4), (1, 2, 3)), ((8, 8, 8), (1, 1, 2)),
+              ((6, 6, 6, 6), (1, 1, 1, 1)), ((3, 3, 3, 3), (2, 2, 2, 2))]
     sides = set()
-    for space in spaces:
+    for dims, degrees in spaces:
+        space = SpaceSpec(dims, degrees)
+        top = space.manifold_dim // 2
         for convention in ("corrected", "paper"):
-            for eps in (0.05, 0.2, 0.7, 1.2, math.pi / 2):
-                for i in range(space.manifold_dim // 2 + 1):
-                    p, q = _beta_args(i, space, convention)
-                    x = math.sin(eps) ** 2
-                    sides.add("one" if x >= 1.0 else x > p / (p + q))
+            for eps in (1e-3, 0.05, 0.2, 0.7, 1.2, 1.4, math.pi / 2):
+                p, q = _beta_args(top, space, convention)
+                x = math.sin(eps) ** 2
+                sides.add("one" if x >= 1.0 else x > p / (p + q))
+                values = radial_integrals(space, eps, convention)
+                assert len(values) == top + 1
+                for i, value in enumerate(values):
                     exact = _mp_radial(i, space, eps, convention)
                     if exact < sys.float_info.min:
                         continue
-                    value = radial_integral(i, space, eps, convention)
                     assert abs(value - exact) <= 1e-10 * exact, \
-                        (space, convention, eps, i, value, exact)
+                        (dims, degrees, convention, eps, i, value, exact)
     assert sides == {False, True, "one"}
+
+
+def test_radial_integral_is_an_entry_of_radial_integrals():
+    space = SpaceSpec((2, 1), (2, 3))
+    values = radial_integrals(space, 0.4, "paper")
+    assert [radial_integral(i, space, 0.4, "paper")
+            for i in range(len(values))] == list(values)
+
+
+def test_tube_volume_runs_one_continued_fraction(monkeypatch):
+    calls = []
+    original = tube_module._log_beta_cf
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tube_module, "_log_beta_cf", counting)
+    # Below and above the mean of the top order's incomplete beta.
+    for dims, degrees, eps in (((6, 6, 6, 6), (1, 1, 1, 1), 0.05),
+                               ((2, 1), (2, 3), 1.4)):
+        calls.clear()
+        tube_volume(SpaceSpec(dims, degrees), eps)
+        assert len(calls) == 1
 
 
 def test_tube_volume_at_quarter_turn():
@@ -453,6 +485,51 @@ def test_tube_volume_leading_order():
 def _sin_power_integral(power, eps, steps=20001):
     grid = np.linspace(0.0, eps, steps)
     return float(np.trapezoid(np.sin(grid) ** power, grid))
+
+
+def test_log_volume_survives_underflow():
+    # Every J_i of this space underflows at eps = 0.05, and so does the
+    # volume; the log-space sum does not.
+    mpmath = pytest.importorskip("mpmath")
+    space = SpaceSpec((6, 6, 6, 6), (1, 1, 1, 1))
+    report = tube_volume(space, 0.05)
+    assert report.volume == 0.0
+    m, c = space.manifold_dim, space.normal_dim
+    with mpmath.workdps(30):
+        x = mpmath.sin(mpmath.mpf(0.05)) ** 2
+        total = sum(t.a * mpmath.betainc(mpmath.mpf(c + 2 * t.i) / 2,
+                                         mpmath.mpf(m - 2 * t.i + 1) / 2,
+                                         0, x) / 2 for t in report.terms)
+        prefactor = mpmath.mpf(1)
+        for n, d in zip(space.dims, space.degrees):
+            prefactor *= mpmath.mpf(d) ** (mpmath.mpf(n) / 2) * \
+                2 * mpmath.pi ** (mpmath.mpf(n + 1) / 2) / \
+                mpmath.gamma(mpmath.mpf(n + 1) / 2)
+        prefactor /= 2 ** (space.r - 1)
+        prefactor *= 2 * mpmath.pi ** (mpmath.mpf(c) / 2) / \
+            mpmath.gamma(mpmath.mpf(c) / 2)
+        exact = float(mpmath.log(prefactor * total))
+    assert abs(report.log_volume - exact) <= 1e-10
+
+
+@pytest.mark.parametrize("dims,degrees", [
+    ((6, 6, 6, 6), (1, 1, 1, 1)), ((8, 8, 8), (1, 1, 2)),
+    ((3, 3, 3, 3), (2, 2, 2, 2)), ((12, 12), (1, 1)), ((4, 4, 4), (1, 1, 1)),
+    ((8, 8), (2, 1)), ((6, 6), (2, 2)), ((5, 5), (1, 1)), ((4, 4), (1, 2)),
+    ((2, 2, 2), (1, 2, 1))])
+def test_log_volume_is_finite_and_matches_volume(dims, degrees):
+    # The exact-tube benchmark's spaces, over its radius range; on five of
+    # them `volume` underflows to 0.0.
+    space = SpaceSpec(dims, degrees)
+    for name in PROFILE_NAMES:
+        for eps in (0.05, 0.3, 0.7):
+            report = tube_volume(space, eps,
+                                 profile=variance_profile(name, degrees))
+            assert math.isfinite(report.log_volume)
+            assert report.to_json_dict()["log_volume"] == report.log_volume
+            if report.volume >= sys.float_info.min:
+                assert abs(report.log_volume - math.log(report.volume)) \
+                    <= 1e-12 * max(1.0, abs(report.log_volume))
 
 
 def test_tube_volume_flags_invalid_radius():
