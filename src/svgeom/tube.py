@@ -7,9 +7,14 @@ normal sphere times sum_i a_i * J_i(eps).  Only the J_i depend on eps.  The
 coefficients a_i, the expected 2i-minor sums of the shape operator over the
 chi-square moments, depend on the space, the variance profile and the minor
 mode alone; each order is computed once per such triple and process and
-kept in a memo of at most 1024 entries (`_tube_coefficient`).  A repeated
-call on the same space, profile and minor mode, at any radius or exponent
-convention, evaluates only the radial integrals.
+kept in a memo of at most 1024 entries (`_tube_coefficient`).  Everything
+else in the formula that does not depend on eps is kept beside them, in one
+plan per triple (`_tube_plan`, at most 256): the tuple a_0 .. a_{n // 2},
+the log of the prefactor, and the reach radius that sets `validity`.  A
+call to `tube_volume` makes one plan lookup, so a repeated call on the same
+space, profile and minor mode, at any radius or exponent convention,
+evaluates only the radial integrals.  Named profiles are interned by
+`variance_profile`, so the lookup usually compares them by identity.
 
 The radial integrals J_i = B_x(p_i, q_i) / 2, with x = sin^2 eps, are
 incomplete betas whose neighbouring orders differ by p -> p - 1,
@@ -17,7 +22,9 @@ q -> q + 1.  One radius costs one continued fraction (lgamma and modified
 Lentz, in pure Python) for the top order, then a downward recurrence in log
 space for the others (`_log_betas`); every J_i is cross-checked against
 adaptive Simpson quadrature cut around the kernel's peak.  The same log
-values give `log_volume`, which stays finite where the volume underflows.
+values give `log_volume`, which stays finite where the volume underflows,
+down to the smallest radius: log x is taken as 2 log sin eps where x itself
+would be subnormal.
 
 Two printed conventions are kept selectable so they can be adjudicated
 against direct Monte Carlo volume estimates: the exponent of the sine in the
@@ -30,8 +37,10 @@ the default edge-weight profile.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,8 +137,10 @@ def radial_integral_quadrature(i: int, space: SpaceSpec, eps: float,
                for lo, hi in zip(edges, edges[1:]))
 
 
-def _log_beta_cf(p: float, q: float, x: float, y: float) -> float:
-    """log B_x(p, q) for x = 1 - y below the mean p / (p + q).
+def _log_beta_cf(p: float, q: float, x: float, log_x: float,
+                 log_y: float) -> float:
+    """log B_x(p, q) for x below the mean p / (p + q), given log x and
+    log y = log(1 - x).
 
     B_x(p, q) = x^p y^q / p * K, with K the continued fraction of the
     regularized incomplete beta, evaluated by the modified Lentz method.
@@ -149,29 +160,28 @@ def _log_beta_cf(p: float, q: float, x: float, y: float) -> float:
             c = guard(1.0 + num / c)
             frac *= c * d
         if abs(c * d - 1.0) <= 1e-15:
-            return p * math.log(x) + q * math.log(y) - math.log(p) + \
-                math.log(frac)
+            return p * log_x + q * log_y - math.log(p) + math.log(frac)
     raise ArithmeticError(f"incomplete beta({p}, {q}, {x}) did not converge")
 
 
-def _log_incomplete_beta(p: float, q: float, x: float, y: float) -> float:
+def _log_incomplete_beta(p: float, q: float, x: float, y: float,
+                         log_x: float, log_y: float) -> float:
     """log of B_x(p, q) = int_0^x t^(p-1) (1-t)^(q-1) dt, with y = 1 - x.
 
     Both x and y are passed so that neither is formed by a cancelling
-    subtraction.  Above the mean p / (p + q) the symmetry
-    B_x(p, q) = B(p, q) - B_y(q, p) keeps the continued fraction in its
-    fast range; the subtraction loses no relative accuracy there, since
+    subtraction, and their logs so that a subnormal or zero x (a tiny
+    radius) still has an exact log.  Above the mean p / (p + q) the
+    symmetry B_x(p, q) = B(p, q) - B_y(q, p) keeps the continued fraction
+    in its fast range; the subtraction loses no relative accuracy there, since
     the result is at least about half the complete beta.
     """
-    if x <= 0.0:
-        return -math.inf
     complete = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
     if x >= 1.0:
         return complete
     if x <= p / (p + q):
-        return _log_beta_cf(p, q, x, y)
-    return complete + math.log1p(-math.exp(_log_beta_cf(q, p, y, x)
-                                           - complete))
+        return _log_beta_cf(p, q, x, log_x, log_y)
+    tail = _log_beta_cf(q, p, y, log_y, log_x)
+    return complete + math.log1p(-math.exp(tail - complete))
 
 
 def _log_betas(space: SpaceSpec, eps: float, convention: str) -> list:
@@ -191,10 +201,12 @@ def _log_betas(space: SpaceSpec, eps: float, convention: str) -> list:
     p = (_sine_exponent(top, space, convention) + 1) / 2.0
     q = (space.manifold_dim - 2 * top + 1) / 2.0
     x, y = math.sin(eps) ** 2, math.cos(eps) ** 2
-    if x <= 0.0:
-        return [-math.inf] * (top + 1)
-    log_x, log_y = math.log(x), math.log(y)
-    log_b = _log_incomplete_beta(p, q, x, y)
+    # Below eps of about 1.5e-154, x is subnormal (or 0) and math.log(x)
+    # loses digits (or is -inf); 2 log sin eps keeps them.
+    log_x = (math.log(x) if x >= sys.float_info.min
+             else 2.0 * math.log(math.sin(eps)))
+    log_y = math.log(y)
+    log_b = _log_incomplete_beta(p, q, x, y, log_x, log_y)
     logs = [log_b]
     for _ in range(top):
         p -= 1.0
@@ -284,6 +296,30 @@ def tube_coefficient(i: int, space: SpaceSpec,
     return _tube_coefficient(space, profile, minor_mode, i)
 
 
+class _TubePlan(NamedTuple):
+    coefficients: tuple   # a_0 .. a_{n // 2}
+    log_prefactor: float  # log(vol M * vol S^(c - 1))
+    reach: float
+
+
+@lru_cache(maxsize=256)
+def _tube_plan(space: SpaceSpec, profile: VarianceProfile,
+               minor_mode: str) -> _TubePlan:
+    """Everything in Weyl's formula that does not depend on eps, for one
+    resolved profile; keyed without the exponent convention, which only
+    the radial integrals read.
+
+    The coefficients come from the per-order memo.  A plan that raises
+    (an unknown mode, an order past the matching cap) is not cached; the
+    orders computed before the failing one stay in that memo.
+    """
+    coefficients = tuple(_tube_coefficient(space, profile, minor_mode, i)
+                         for i in range(space.manifold_dim // 2 + 1))
+    log_prefactor = (_log_manifold_volume(space)
+                     + _log_sphere_volume(space.normal_dim - 1))
+    return _TubePlan(coefficients, log_prefactor, reach(space).reach)
+
+
 # ---------------------------------------------------------------------------
 # assembled tube volume
 # ---------------------------------------------------------------------------
@@ -342,25 +378,22 @@ def tube_volume(space: SpaceSpec, eps: float,
     """
     log_betas = _log_betas(space, eps, exponent_convention)
     profile = profile or variance_profile(DEFAULT_PROFILE, space.degrees)
-    log_prefactor = (_log_manifold_volume(space)
-                     + _log_sphere_volume(space.normal_dim - 1))
-    prefactor = math.exp(log_prefactor)
+    plan = _tube_plan(space, profile, minor_mode)
+    prefactor = math.exp(plan.log_prefactor)
     terms = []
     total = 0.0
-    for i, log_b in enumerate(log_betas):
-        a_i = _tube_coefficient(space, profile, minor_mode, i)
+    for i, (a_i, log_b) in enumerate(zip(plan.coefficients, log_betas)):
         j_i = _cross_checked(0.5 * math.exp(log_b), i, space, eps,
                              exponent_convention)
         contribution = prefactor * a_i * j_i
         total += contribution
         terms.append(TubeTerm(i, a_i, j_i, contribution))
-    # sum_i a_i B_i with the largest B_i factored out, J_i = B_i / 2.  If
-    # every B_i is 0 (x = 0), the shifted sum is NaN and gives None too.
+    # sum_i a_i B_i with the largest B_i factored out, J_i = B_i / 2.
     shift = max(log_betas)
     signed = math.fsum([t.a * math.exp(log_b - shift)
                         for t, log_b in zip(terms, log_betas)])
-    log_volume = (log_prefactor - math.log(2.0) + shift + math.log(signed)
-                  if signed > 0.0 else None)
-    validity = eps < reach(space).reach
+    log_volume = (plan.log_prefactor - math.log(2.0) + shift
+                  + math.log(signed) if signed > 0.0 else None)
     return TubeReport(space, eps, exponent_convention, minor_mode,
-                      profile.name, total, log_volume, tuple(terms), validity)
+                      profile.name, total, log_volume, tuple(terms),
+                      eps < plan.reach)

@@ -80,12 +80,18 @@ def variance_profile(name: str, degrees) -> VarianceProfile:
     corollary:  d_k (d_k - 1) / 4, the printed GOE normalization
 
     All three keep the GOE shape (diagonal variance twice the off-diagonal)
-    and cross-block variance one.
+    and cross-block variance one.  Equal arguments, with degrees compared
+    as ints, return one shared profile (profiles are frozen), so memos
+    keyed on it compare by identity and its rationals are built once.
     """
     if name not in _WITHIN_VARIANCE:
         raise DomainError(f"unknown profile {name!r}; choose from {PROFILE_NAMES}")
-    return VarianceProfile(name, tuple(_WITHIN_VARIANCE[name](int(d))
-                                       for d in degrees))
+    return _named_profile(name, tuple(map(int, degrees)))
+
+
+@lru_cache(maxsize=256)
+def _named_profile(name: str, degrees: tuple) -> VarianceProfile:
+    return VarianceProfile(name, tuple(map(_WITHIN_VARIANCE[name], degrees)))
 
 
 @dataclass(frozen=True, eq=False)

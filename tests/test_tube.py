@@ -15,6 +15,7 @@ from svgeom import (
     variance_profile,
 )
 from svgeom.tube import (
+    EXPONENT_CONVENTIONS,
     chi2_moment,
     manifold_volume,
     radial_integral,
@@ -24,7 +25,14 @@ from svgeom.tube import (
     tube_coefficient,
 )
 from svgeom.matchings import MINOR_MODES, expected_minor_sum_exact
-from svgeom.weingarten import DEFAULT_PROFILE, PROFILE_NAMES
+from svgeom.weingarten import DEFAULT_PROFILE, PROFILE_NAMES, VarianceProfile
+
+# The exact-tube benchmark's spaces.
+EXACT_TUBE_SPACES = [
+    ((6, 6, 6, 6), (1, 1, 1, 1)), ((8, 8, 8), (1, 1, 2)),
+    ((3, 3, 3, 3), (2, 2, 2, 2)), ((12, 12), (1, 1)), ((4, 4, 4), (1, 1, 1)),
+    ((8, 8), (2, 1)), ((6, 6), (2, 2)), ((5, 5), (1, 1)), ((4, 4), (1, 2)),
+    ((2, 2, 2), (1, 2, 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +334,15 @@ def memo_size():
     return tube_module._tube_coefficient.cache_info().currsize
 
 
+def coefficient_calls():
+    info = tube_module._tube_coefficient.cache_info()
+    return info.hits + info.misses
+
+
+def plan_info():
+    return tube_module._tube_plan.cache_info()
+
+
 @pytest.mark.parametrize("dims,degrees", MEMO_SPACES)
 def test_coefficient_memo_is_bit_identical(dims, degrees):
     space = SpaceSpec(dims, degrees)
@@ -368,22 +385,74 @@ def test_default_profile_shares_one_memo_entry():
         DEFAULT_PROFILE, space.degrees))
     assert implicit.to_json_dict() == explicit.to_json_dict()
     assert memo_size() == len(implicit.terms)
+    assert plan_info().currsize == 1
 
 
 def test_equal_spaces_and_profiles_share_memo_entries():
     # Specs and profiles are rebuilt per call by the CLI and the benchmark
-    # worker; equal ones must hash equal and hit the same entries.
+    # worker; equal ones must hash equal and hit the same plan.
     def volume(dims, degrees):
         return tube_volume(SpaceSpec(dims, degrees), 0.3,
                            profile=variance_profile("weingarten", degrees))
 
     first = volume((2, 1), (2, 2))
-    hits = tube_module._tube_coefficient.cache_info().hits
+    hits = plan_info().hits
     again = volume([2, 1], [2.0, 2])
     assert again.to_json_dict() == first.to_json_dict()
-    assert (tube_module._tube_coefficient.cache_info().hits
-            == hits + len(first.terms))
+    assert plan_info().hits == hits + 1
+    assert plan_info().currsize == 1
     assert memo_size() == len(first.terms)
+
+
+def test_a_sweep_over_radii_and_conventions_builds_one_plan():
+    space = SpaceSpec((3, 2), (2, 1))
+    profile = variance_profile("weingarten", space.degrees)
+    tube_volume(space, 0.1, profile=profile)
+    calls = coefficient_calls()
+    for eps in (0.05, 0.3, 0.6, math.pi / 2):
+        for convention in EXPONENT_CONVENTIONS:
+            tube_volume(space, eps, convention, profile=profile)
+    assert coefficient_calls() == calls
+    assert plan_info().misses == 1
+    assert plan_info().currsize == 1
+
+
+def test_named_profiles_are_interned():
+    profile = variance_profile("weingarten", [2.0, 2])
+    assert variance_profile("weingarten", (2, 2)) is profile
+    assert variance_profile("corollary", (2, 2)) is not profile
+    # A directly built equal profile is a different object with the same
+    # plan.
+    direct = VarianceProfile("weingarten", (0.5, 0.5))
+    assert direct is not profile and direct == profile
+    space = SpaceSpec((2, 1), (2, 2))
+    first = tube_volume(space, 0.3, profile=profile)
+    hits = plan_info().hits
+    again = tube_volume(space, 0.3, profile=direct)
+    assert again.to_json_dict() == first.to_json_dict()
+    assert plan_info().hits == hits + 1
+    assert plan_info().currsize == 1
+
+
+@pytest.mark.parametrize("dims,degrees", EXACT_TUBE_SPACES)
+def test_tube_volume_terms_do_not_drift_from_their_parts(dims, degrees):
+    # The plan and the per-call radial integrals must give what the public
+    # per-order functions give, bit for bit.
+    space = SpaceSpec(dims, degrees)
+    top = reach(space).reach
+    radii = (0.05, 0.7, math.nextafter(top, 0.0), top, math.pi / 2)
+    for name in PROFILE_NAMES:
+        profile = variance_profile(name, degrees)
+        for eps, convention in itertools.product(radii, EXPONENT_CONVENTIONS):
+            report = tube_volume(space, eps, convention, profile=profile)
+            js = radial_integrals(space, eps, convention)
+            assert [t.a.hex() for t in report.terms] == [
+                tube_coefficient(t.i, space, profile).hex()
+                for t in report.terms]
+            assert [t.j.hex() for t in report.terms] == [j.hex() for j in js]
+            assert report.validity == (eps < top)
+    assert tube_volume(space, top).validity is False
+    assert tube_volume(space, math.nextafter(top, 0.0)).validity is True
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -512,14 +581,30 @@ def test_log_volume_survives_underflow():
     assert abs(report.log_volume - exact) <= 1e-10
 
 
-@pytest.mark.parametrize("dims,degrees", [
-    ((6, 6, 6, 6), (1, 1, 1, 1)), ((8, 8, 8), (1, 1, 2)),
-    ((3, 3, 3, 3), (2, 2, 2, 2)), ((12, 12), (1, 1)), ((4, 4, 4), (1, 1, 1)),
-    ((8, 8), (2, 1)), ((6, 6), (2, 2)), ((5, 5), (1, 1)), ((4, 4), (1, 2)),
-    ((2, 2, 2), (1, 2, 1))])
+def test_tiny_radii_keep_every_digit():
+    # Below eps of about 1.5e-154, sin(eps)^2 is subnormal, and below about
+    # 1.5e-162 it is 0, though the volumes here are normal doubles or, for
+    # log_volume, finite logs.
+    space = SpaceSpec((1,), (2,))
+    profile = variance_profile("weingarten", space.degrees)
+    for eps in (1e-160, 1e-200, 1e-300):
+        exact = 4 * math.sqrt(2) * math.pi * math.sin(eps)
+        report = tube_volume(space, eps, profile=profile)
+        assert abs(report.volume - exact) <= 1e-12 * exact, eps
+    # sin(2 eps)^3 of the sphere S^7 (see the test above), which underflows.
+    space = SpaceSpec((1, 3), (1, 1))
+    eps = 1e-200
+    report = tube_volume(space, eps, profile=variance_profile(
+        "weingarten", space.degrees))
+    exact = 3 * math.log(math.sin(2 * eps)) + math.log(sphere_volume(7))
+    assert report.volume == 0.0
+    assert abs(report.log_volume - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("dims,degrees", EXACT_TUBE_SPACES)
 def test_log_volume_is_finite_and_matches_volume(dims, degrees):
-    # The exact-tube benchmark's spaces, over its radius range; on five of
-    # them `volume` underflows to 0.0.
+    # Over the benchmark's radius range; on five of these spaces `volume`
+    # underflows to 0.0.
     space = SpaceSpec(dims, degrees)
     for name in PROFILE_NAMES:
         for eps in (0.05, 0.3, 0.7):
