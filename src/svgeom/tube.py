@@ -23,8 +23,8 @@ Lentz, in pure Python) for the top order, then a downward recurrence in log
 space for the others (`_log_betas`); every J_i is cross-checked against
 adaptive Simpson quadrature cut around the kernel's peak.  The same log
 values give `log_volume`, which stays finite where the volume underflows,
-down to the smallest radius: log x is taken as 2 log sin eps where x itself
-would be subnormal.
+down to the smallest radius: log x is taken as 2 log sin eps, which keeps
+every digit where x itself is subnormal or 0.
 
 Two printed conventions are kept selectable so they can be adjudicated
 against direct Monte Carlo volume estimates: the exponent of the sine in the
@@ -37,7 +37,6 @@ the default edge-weight profile.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -201,11 +200,7 @@ def _log_betas(space: SpaceSpec, eps: float, convention: str) -> list:
     p = (_sine_exponent(top, space, convention) + 1) / 2.0
     q = (space.manifold_dim - 2 * top + 1) / 2.0
     x, y = math.sin(eps) ** 2, math.cos(eps) ** 2
-    # Below eps of about 1.5e-154, x is subnormal (or 0) and math.log(x)
-    # loses digits (or is -inf); 2 log sin eps keeps them.
-    log_x = (math.log(x) if x >= sys.float_info.min
-             else 2.0 * math.log(math.sin(eps)))
-    log_y = math.log(y)
+    log_x, log_y = 2.0 * math.log(math.sin(eps)), math.log(y)
     log_b = _log_incomplete_beta(p, q, x, y, log_x, log_y)
     logs = [log_b]
     for _ in range(top):

@@ -116,6 +116,18 @@ def test_tube_subcommand(capsys, tmp_path):
     assert csv.exists()
 
 
+def test_tube_subcommand_at_a_tiny_radius(capsys):
+    # sin(eps)^2 underflows to 0, yet the volume of (1,)/(2,),
+    # 4 sqrt(2) pi sin(eps), is a normal double.
+    code, doc, _ = run_cli(capsys, "tube", "--dims", "1", "--degrees", "2",
+                           "--epsilon", "1e-200", "--profile", "weingarten")
+    assert code == 0
+    assert doc["volume"] == pytest.approx(
+        4 * math.sqrt(2) * math.pi * 1e-200, rel=1e-12)
+    assert doc["log_volume"] == pytest.approx(math.log(doc["volume"]),
+                                              abs=1e-12)
+
+
 def test_weingarten_subcommand(capsys, tmp_path):
     csv = tmp_path / "matrix.csv"
     code, doc, _ = run_cli(capsys, "weingarten", "--dims", "2,1",
