@@ -80,6 +80,30 @@ def sqrt_multinomials(n: int, d: int) -> Array:
 # spaces and tensors
 # ---------------------------------------------------------------------------
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def _integers(name: str, values) -> tuple[int, ...]:
+    """values as a tuple of ints.  Integers, numpy's included, and floats
+    of integer value are accepted; anything else, a bool included, raises
+    DomainError rather than being truncated by int()."""
+    values = tuple(values)
+    # Specs and profiles are built per call on hot paths, so plain ints,
+    # the common case, return without a conversion.
+    for value in values:
+        if type(value) is not int:
+            break
+    else:
+        return values
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values or not _BOOLS.isdisjoint(map(type, values)):
+        raise DomainError(f"{name} must be integers, not {values!r}")
+    return ints
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """A tensor product of polynomial factors, given by dims and degrees.
@@ -95,7 +119,8 @@ class SpaceSpec:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        dims, degrees = tuple(map(int, self.dims)), tuple(map(int, self.degrees))
+        dims = _integers("dims", self.dims)
+        degrees = _integers("degrees", self.degrees)
         if len(dims) != len(degrees) or len(dims) < 1:
             raise DomainError("dims and degrees must be equal-length, nonempty")
         if min(dims) < 1 or min(degrees) < 1:

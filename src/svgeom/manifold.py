@@ -276,9 +276,11 @@ def _gram(space: SpaceSpec, rows: Array) -> Array:
     return np.einsum("pkb,qkb->pqb", x, x)
 
 
-def _is_positive_definite(a: Array, diagonal: float, sign: float) -> Array:
+def _is_positive_definite(a: Array, diagonal: float | Array,
+                          sign: float) -> Array:
     """Whether diagonal I + sign A is positive definite, sign +-1, for each
-    of an (n, n, batch) array of symmetric matrices A.
+    of an (n, n, batch) array of symmetric matrices A, with one diagonal
+    for all or one per matrix.
 
     Gaussian elimination without pivoting on sign (diagonal I + sign A) =
     A + sign diagonal I, whose pivots are sign times those of the matrix
@@ -592,9 +594,9 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
     Every other space runs the batched alternating maximization with
     BATCH_RESTARTS restarts, which can end at a local maximum.
 
-    `mc_tube_volume` needs only whether a unit row's value exceeds a
-    threshold, and on the quadratic and Gram spaces it decides that with
-    `_is_positive_definite` instead of calling this function."""
+    `mc_tube_volume` needs only whether a row's value exceeds cos(eps)
+    times the row's norm, and on the quadratic and Gram spaces it decides
+    that with `_is_positive_definite` instead of calling this function."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != space.ambient_dim:
         raise DomainError("batch shape does not match the space")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .bw_algebra import SpaceSpec
+from .bw_algebra import SpaceSpec, _integers
 from .errors import DomainError, ResourceError
 from .weingarten import DEFAULT_PROFILE, VarianceProfile, variance_profile
 
@@ -39,8 +39,8 @@ class MatchingProblem:
     profile: VarianceProfile | None = None
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.group_sizes)
-        degrees = tuple(int(d) for d in self.degrees)
+        sizes = _integers("group sizes", self.group_sizes)
+        degrees = _integers("degrees", self.degrees)
         if len(sizes) != len(degrees):
             raise DomainError("group sizes and degrees must have equal length")
         if any(s < 0 for s in sizes):

@@ -3,7 +3,10 @@
 Sampling is organized in fixed-size batches whose random streams are derived
 by hashing (seed, batch index), so every estimate is a pure function of the
 inputs, the seed, and the sample count.  Batch sums are accumulated and
-reduced with numpy's pairwise summation.
+reduced with numpy's pairwise summation.  Every kernel works on the batch as
+the last, contiguous axis: determinants by Householder reflections swept
+over the batch, and tube hits by tests that are homogeneous in the row, so
+Gaussian rows are never normalized.
 """
 
 from __future__ import annotations
@@ -107,6 +110,35 @@ def _mean_and_error(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), std_error
 
 
+def _determinants(a: np.ndarray) -> np.ndarray:
+    """det a[:, :, b] for every b of an (n, n, batch) array, which is
+    overwritten.
+
+    Householder QR without pivoting, vectorized over the batch: step k
+    reflects column k below the diagonal, x, onto r e_1 with
+    r = -sign(x_0) |x|, so that v = x - r e_1 suffers no cancellation, and
+    applies the reflection to the trailing columns one at a time, so
+    temporaries are O(n batch).  Each reflection has determinant -1, so
+    det = prod(-r).  A zero column has r = 0, hence det 0, and is not
+    reflected.
+    """
+    n = a.shape[0]
+    det = np.ones(a.shape[2:])
+    for k in range(n):
+        x = a[k:, k]
+        norm = np.sqrt(np.einsum("ib,ib->b", x, x))
+        r = np.copysign(norm, -x[0])
+        det *= -r
+        if k == n - 1:
+            break
+        x[0] -= r                  # x is now v, with <v, v> = -2 r v_0
+        beta = -1.0 / np.where(norm > 0.0, r * x[0], 1.0)
+        for j in range(k + 1, n):
+            column = a[k:, j]
+            column -= x * (beta * np.einsum("ib,ib->b", x, column))
+    return det
+
+
 def mc_expected_det(problem: MatchingProblem, cfg: McConfig, *,
                     output: Path | str | None = None) -> McStats:
     """Sample determinants of the block matrix and report their statistics.
@@ -119,7 +151,8 @@ def mc_expected_det(problem: MatchingProblem, cfg: McConfig, *,
     for rng, count in _batch_streams(cfg):
         mats = sample_block_matrix_batch(problem.group_sizes, problem.profile,
                                          rng, count)
-        chunks.append(np.linalg.det(mats))
+        # The sampler's own (m, m, count) buffer, which is not needed again.
+        chunks.append(_determinants(np.moveaxis(mats, 0, -1)))
     values = np.concatenate(chunks)
     mean, std_error = _mean_and_error(values)
     hist = _make_histogram(values)
@@ -150,17 +183,20 @@ class McVolume:
 
 
 def _hits(space: SpaceSpec, points: np.ndarray,
-          threshold: float) -> np.ndarray:
-    """Whether each unit row's best rank-one correlation exceeds a threshold
-    cos(eps) >= 0.
+          threshold: float | np.ndarray) -> np.ndarray:
+    """Whether each row's best rank-one correlation exceeds a threshold
+    >= 0, one per row or one for all.
 
     For quadratic forms in three or more variables the correlation is the
     largest |eigenvalue| of the form's matrix A, so a row hits exactly when
     threshold I - A or threshold I + A is not positive definite; for two
     degree-one factors it is the square root of the largest eigenvalue of
     the Gram matrix G, and a row hits exactly when threshold^2 I - G is
-    not.  Neither needs rescaling, as the rows are unit.  Every other space
-    compares `max_correlation_batch` with the threshold.
+    not.  Every other space compares `max_correlation_batch` with the
+    threshold.  Every test is homogeneous of degree one in the row and its
+    threshold, so rows need not be unit: a row y lies in the tube of
+    radius eps about the cone over the manifold exactly when it hits at
+    threshold cos(eps) |y|.
     """
     if space.degrees == (2,) and space.dims != (1,):
         a = _quadratic_forms(points.T, space.dims[0])
@@ -175,9 +211,10 @@ def _hits(space: SpaceSpec, points: np.ndarray,
 def mc_tube_volume(space: SpaceSpec, eps: float, cfg: McConfig) -> McVolume:
     """Rejection estimate of the tube volume from uniform sphere samples.
 
-    Draws normalized Gaussians on the ambient sphere, counts those whose
-    best rank-one correlation exceeds cos(eps), and scales the hit fraction
-    by the sphere volume.  The standard error comes from the binomial
+    Draws Gaussian rows, whose directions are uniform on the ambient sphere,
+    counts those whose best rank-one correlation exceeds cos(eps) |y| (the
+    row y is not normalized; `_hits` is homogeneous), and scales the hit
+    fraction by the sphere volume.  The standard error comes from the binomial
     variance of the hit count.  On quadratic spaces other than (1,)/(2,)
     and on two degree-one factors, a row's hit is decided by a
     positive-definiteness test (`_hits`), which agrees with the correlation
@@ -192,8 +229,8 @@ def mc_tube_volume(space: SpaceSpec, eps: float, cfg: McConfig) -> McVolume:
     hits = 0
     for rng, count in _batch_streams(cfg):
         points = rng.standard_normal((count, space.ambient_dim))
-        points /= np.linalg.norm(points, axis=1, keepdims=True)
-        hits += int(np.count_nonzero(_hits(space, points, threshold)))
+        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+        hits += int(np.count_nonzero(_hits(space, points, threshold * norms)))
     fraction = hits / cfg.samples
     total = sphere_volume(space.sphere_dim)
     volume = fraction * total

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bw_algebra import Array, SpaceSpec, Tensor
+from .bw_algebra import Array, SpaceSpec, Tensor, _integers
 from .errors import DomainError
 from .geodesics_reach import second_derivative_fd
 from .manifold import normal_split, project_components
@@ -83,10 +83,11 @@ def variance_profile(name: str, degrees) -> VarianceProfile:
     and cross-block variance one.  Equal arguments, with degrees compared
     as ints, return one shared profile (profiles are frozen), so memos
     keyed on it compare by identity and its rationals are built once.
+    A degree that is not an integer raises DomainError.
     """
     if name not in _WITHIN_VARIANCE:
         raise DomainError(f"unknown profile {name!r}; choose from {PROFILE_NAMES}")
-    return _named_profile(name, tuple(map(int, degrees)))
+    return _named_profile(name, _integers("degrees", degrees))
 
 
 @lru_cache(maxsize=256)
@@ -212,7 +213,7 @@ def sample_block_matrix_batch(group_sizes, profile: VarianceProfile,
     upper triangles, one row per entry, and is mirrored into the lower
     ones; the result is a (count, m, m) view of that (m m, count) buffer.
     """
-    group_sizes = tuple(int(m) for m in group_sizes)
+    group_sizes = _integers("group sizes", group_sizes)
     if len(group_sizes) != len(profile.within_offdiag):
         raise DomainError("profile and group sizes must have equal length")
     std, upper, lower = _block_sampling_plan(group_sizes, profile)

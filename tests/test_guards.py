@@ -40,6 +40,12 @@ _GUARDS = {
         lambda: apply_orthogonal(E0, [np.eye(3)]), "factor dimension"),
     "curvature_closed_form lengths": (
         lambda: curvature_closed_form([1.0], [2, 3]), "equal length"),
+    "SpaceSpec non-integer degree": (
+        lambda: SpaceSpec((1,), (2.5,)), "degrees must be integers"),
+    "SpaceSpec bool dim": (
+        lambda: SpaceSpec((True,), (2,)), "dims must be integers"),
+    "variance_profile non-integer degree": (
+        lambda: variance_profile("def-d", [2.5]), "degrees must be integers"),
     "SegrePoint form count": (
         lambda: SegrePoint(SpaceSpec((1, 1), (1, 1)), ([1.0, 0.0],)),
         "one linear form per factor"),
@@ -49,6 +55,8 @@ _GUARDS = {
         lambda: project_components(E0, normal_split(CUBIC)), "different spaces"),
     "max_correlation_batch shape": (
         lambda: max_correlation_batch(QUADRATIC, np.zeros((2, 4))), "batch shape"),
+    "MatchingProblem non-integer group size": (
+        lambda: MatchingProblem((2.5, 2), (1, 1)), "group sizes must be integers"),
     "MatchingProblem profile length": (
         lambda: MatchingProblem((2,), (2,), variance_profile("weingarten", (2, 3))),
         "profile length"),
@@ -58,6 +66,10 @@ _GUARDS = {
         lambda: tube_volume(SpaceSpec((1,), (1,)), 0.3), "positive codimension"),
     "WeingartenMatrix shape": (
         lambda: WeingartenMatrix(QUADRATIC, np.zeros((2, 2))), "1x1"),
+    "sample_block_matrix_batch non-integer group size": (
+        lambda: sample_block_matrix_batch((2.5, 1), variance_profile("def-d", (1, 1)),
+                                          np.random.default_rng(0), 3),
+        "group sizes must be integers"),
     "sample_block_matrix_batch profile length": (
         lambda: sample_block_matrix_batch((2, 1), variance_profile("weingarten", (2,)),
                                           np.random.default_rng(0), 3),
@@ -77,3 +89,11 @@ def test_input_guard_raises(name):
     call, message = _GUARDS[name]
     with pytest.raises(DomainError, match=message):
         call()
+
+
+def test_numpy_integer_dims_and_degrees_are_accepted():
+    space = SpaceSpec(np.array([1, 2]), (np.int32(2), np.int64(1)))
+    assert space.dims == (1, 2) and space.degrees == (2, 1)
+    assert all(type(v) is int for v in space.dims + space.degrees)
+    assert variance_profile("def-d", np.array([2, 1])) is \
+        variance_profile("def-d", (2, 1))

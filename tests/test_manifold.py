@@ -566,18 +566,24 @@ def test_definiteness_decision_matches_correlation(dims, degrees):
     # decision; it must equal corr > tau wherever corr is not within
     # rounding of tau, at the cosines of fixed radii and 1e-9 on either
     # side of each row's own correlation.  Thresholds are cosines of radii
-    # in (0, pi/2], so never negative.
+    # in (0, pi/2], so never negative.  The test is homogeneous, so it must
+    # decide the same on rows scaled by factors from 1e-3 to 1e3 against
+    # thresholds scaled alike, as Monte Carlo passes it Gaussian rows and
+    # cos(eps) times their norms.
     space = SpaceSpec(dims, degrees)
     rows = _decision_rows(space, np.random.default_rng(24))
+    scale = 10.0 ** np.random.default_rng(25).uniform(-3.0, 3.0, len(rows))
     corr = max_correlation_batch(space, rows)
     radii = (0.05, 0.2, 0.4, 0.6, math.pi / 4, 1.2, math.pi / 2)
     for tau in [math.cos(eps) for eps in radii] + [
             np.maximum(corr - 1e-9, 0.0), corr + 1e-9]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _hits(space, rows, tau)
         far = np.abs(corr - tau) > 1e-12
-        assert np.array_equal(got[far], (corr > tau)[far])
+        for points, threshold in ((rows, tau),
+                                  (scale[:, None] * rows, scale * tau)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _hits(space, points, threshold)
+            assert np.array_equal(got[far], (corr > tau)[far])
 
 
 @pytest.mark.parametrize("dims,degrees", [((2,), (2,)), ((3,), (2,)),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,15 @@ from svgeom import (
     tube_volume,
     variance_profile,
 )
+from svgeom.montecarlo import (
+    _batch_streams,
+    _determinants,
+    _hits,
+    _make_histogram,
+    _mean_and_error,
+)
 from svgeom.tube import sphere_volume
-from svgeom.weingarten import PROFILE_NAMES
+from svgeom.weingarten import PROFILE_NAMES, sample_block_matrix_batch
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +120,54 @@ def test_det_proof_variance_case():
     assert abs(stats.mean + 6.0) <= 3 * stats.std_error
 
 
+def _hard_batch(n, rng):
+    """600 random n x n matrices, as an (n, n, 600) array, among them
+    matrices with a zero column, a repeated column, a row that is a
+    combination of two others, and the zero matrix."""
+    a = rng.standard_normal((n, n, 600))
+    a[:, 0, 100:150] = 0.0
+    a[:, n - 1, 150:200] = 0.0
+    a[:, :, 500:510] = 0.0
+    if n >= 2:
+        a[:, n - 1, 200:300] = a[:, 0, 200:300]
+        a[n - 1, :, 300:400] = a[0, :, 300:400] * rng.standard_normal(100)
+    if n >= 3:
+        a[1, :, 400:500] = 2.0 * a[0, :, 400:500] - a[2, :, 400:500]
+    return a
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_determinants_match_lapack(n):
+    # Hadamard's bound prod_j |a_j| on |det a| sets the scale of the
+    # rounding error; singular rows must come out within it of 0.
+    a = _hard_batch(n, np.random.default_rng(40 + n))
+    want = np.linalg.det(np.moveaxis(a, -1, 0))
+    bound = np.prod(np.linalg.norm(a, axis=0), axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _determinants(a.copy())
+    assert np.all(np.abs(got - want) <= 1e-13 * bound)
+    assert np.all(got[500:510] == 0.0)
+
+
+@pytest.mark.parametrize("sizes,degrees,profile", [
+    ((2, 2, 1, 1), (1, 1, 1, 1), "weingarten"),
+    ((3, 3), (2, 1), "def-d")])
+def test_expected_det_equals_lapack_on_the_same_streams(sizes, degrees,
+                                                          profile):
+    p = MatchingProblem(sizes, degrees, variance_profile(profile, degrees))
+    cfg = McConfig(20_000, seed=7)
+    stats = mc_expected_det(p, cfg)
+    want = np.concatenate([
+        np.linalg.det(sample_block_matrix_batch(sizes, p.profile, rng, count))
+        for rng, count in _batch_streams(cfg)])
+    mean, std_error = _mean_and_error(want)
+    assert abs(stats.mean - mean) <= 1e-12 * abs(mean)
+    assert abs(stats.std_error - std_error) <= 1e-12 * std_error
+    assert np.array_equal(stats.histogram.counts,
+                          _make_histogram(want).counts)
+
+
 def test_histogram_csv_format(tmp_path):
     path = tmp_path / "hist.csv"
     p = MatchingProblem((1, 1), (1, 1))
@@ -201,6 +257,25 @@ def test_tube_volume_reports_its_hit_count():
                              McConfig(3000, seed=22))
         assert isinstance(est.hits, int) and 0 < est.hits < est.samples
         assert est.fraction == est.hits / est.samples
+
+
+@pytest.mark.parametrize("eps,dims,degrees", [
+    (0.4, (3,), (2,)), (0.4, (2, 2), (1, 1)), (0.4, (2,), (2,)),
+    (0.4, (3, 2), (1, 1)), (0.25, (1,), (3,)), (0.25, (1, 1), (2, 1)),
+    (0.45, (1, 1, 1), (1, 1, 1)), (0.4, (2, 1, 1), (1, 1, 1)),
+    (0.4, (1, 3), (1, 1))])
+def test_tube_hits_equal_a_normalized_row_reference(eps, dims, degrees):
+    # The CI kernel spaces: Gaussian rows against cos(eps) times their
+    # norms must hit exactly where the same rows, normalized, hit against
+    # cos(eps).
+    space = SpaceSpec(dims, degrees)
+    cfg = McConfig(20_000, seed=42)
+    want = 0
+    for rng, count in _batch_streams(cfg):
+        points = rng.standard_normal((count, space.ambient_dim))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        want += int(np.count_nonzero(_hits(space, points, math.cos(eps))))
+    assert mc_tube_volume(space, eps, cfg).hits == want
 
 
 def test_tube_at_right_angle_covers_sphere():
