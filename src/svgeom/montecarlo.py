@@ -7,12 +7,19 @@ reduced with numpy's pairwise summation.  Every kernel works on the batch as
 the last, contiguous axis: determinants by Householder reflections swept
 over the batch, and tube hits by tests that are homogeneous in the row, so
 Gaussian rows are never normalized.
+
+While the calling thread runs batch k's kernels, a background thread draws
+batch k + 1's normals (one flat draw, in the public samplers' order) into
+the second of two BATCH_SIZE-sample buffers: outputs are bit-identical, a
+one-batch call draws inline with no thread, and each thread is joined
+before its batch is used, so a forked child never inherits one.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,11 +35,11 @@ from .manifold import (
 )
 from .matchings import MatchingProblem
 from .tube import _check_index, _check_radius, sphere_volume
-from .weingarten import (
-    gaussian_weingarten_batch,
-    principal_minor_sums_batch,
-    sample_block_matrix_batch,
-)
+from .weingarten import (assemble_normals, curved_normal_dim,
+                         place_block_entries, principal_minor_sums_batch)
+# Not called here: perfbench/tracer.py wraps these two bindings.
+from .weingarten import gaussian_weingarten_batch  # noqa: F401
+from .weingarten import sample_block_matrix_batch  # noqa: F401
 
 BATCH_SIZE = 8192
 MC_TUBE_AMBIENT_CAP = 12
@@ -68,6 +75,29 @@ def _batch_streams(cfg: McConfig):
         yield np.random.default_rng([cfg.seed, index]), count
         done += count
         index += 1
+
+
+def _batch_normals(cfg: McConfig, per_sample: int):
+    """(count, count * per_sample normals) per batch, valid until the next."""
+    streams = _batch_streams(cfg)
+    rng, count = next(streams)
+    if count == cfg.samples:
+        yield count, rng.standard_normal(count * per_sample)
+        return
+    buffers = np.empty((2, BATCH_SIZE * per_sample))
+    current = rng.standard_normal(out=buffers[0])
+    for k, (rng, ahead_count) in enumerate(streams, 1):
+        ahead = buffers[k % 2, :ahead_count * per_sample]
+        # A draw into a contiguous float64 buffer allocates and raises nothing.
+        filler = threading.Thread(target=rng.standard_normal,
+                                  kwargs={"out": ahead})
+        filler.start()
+        try:
+            yield count, current
+        finally:
+            filler.join()
+        count, current = ahead_count, ahead
+    yield count, current
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,11 +177,12 @@ def mc_expected_det(problem: MatchingProblem, cfg: McConfig, *,
     of the empirical distribution is attached and, given an output path,
     written there as CSV.
     """
+    m = sum(problem.group_sizes)
     chunks = []
-    for rng, count in _batch_streams(cfg):
-        mats = sample_block_matrix_batch(problem.group_sizes, problem.profile,
-                                         rng, count)
-        # The sampler's own (m, m, count) buffer, which is not needed again.
+    for count, normals in _batch_normals(cfg, m * (m + 1) // 2):
+        mats = place_block_entries(problem.group_sizes, problem.profile,
+                                   normals.reshape(-1, count))
+        # A new (m, m, count) buffer, which is not needed again.
         chunks.append(_determinants(np.moveaxis(mats, 0, -1)))
     values = np.concatenate(chunks)
     mean, std_error = _mean_and_error(values)
@@ -165,8 +196,8 @@ def mc_minor_sum(space: SpaceSpec, i: int, cfg: McConfig) -> McStats:
     """Average sum of 2i x 2i principal minors of sampled shape operators."""
     _check_index(i, space)
     chunks = []
-    for rng, count in _batch_streams(cfg):
-        mats = gaussian_weingarten_batch(space, rng, count)
+    for count, normals in _batch_normals(cfg, curved_normal_dim(space)):
+        mats = assemble_normals(space, normals, count)
         chunks.append(principal_minor_sums_batch(mats, 2 * i))
     mean, std_error = _mean_and_error(np.concatenate(chunks))
     return McStats(mean, std_error, cfg.samples, cfg.seed)
@@ -227,8 +258,8 @@ def mc_tube_volume(space: SpaceSpec, eps: float, cfg: McConfig) -> McVolume:
     _check_radius(eps)
     threshold = math.cos(eps)
     hits = 0
-    for rng, count in _batch_streams(cfg):
-        points = rng.standard_normal((count, space.ambient_dim))
+    for count, normals in _batch_normals(cfg, space.ambient_dim):
+        points = normals.reshape(count, space.ambient_dim)
         norms = np.sqrt(np.einsum("ij,ij->i", points, points))
         hits += int(np.count_nonzero(_hits(space, points, threshold * norms)))
     fraction = hits / cfg.samples

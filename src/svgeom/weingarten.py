@@ -176,6 +176,19 @@ def assemble_weingarten(f: Tensor) -> WeingartenMatrix:
 # sampling
 # ---------------------------------------------------------------------------
 
+def curved_normal_dim(space: SpaceSpec) -> int:
+    """Normal coordinates, W and G, that enter an assembled operator."""
+    return _assembly_plan(space)[0].size + _assembly_plan(space)[3].size
+
+
+def assemble_normals(space: SpaceSpec, normals: Array, count: int) -> Array:
+    """Operators from count * curved_normal_dim(space) flat normals: count
+    rows of W coordinates, then count rows of G."""
+    cut = count * _assembly_plan(space)[0].size
+    return assemble_batch(space, normals[:cut].reshape(count, -1),
+                          normals[cut:].reshape(count, -1))
+
+
 def gaussian_weingarten_batch(space: SpaceSpec, rng: np.random.Generator,
                               count: int) -> Array:
     """Operators assembled from unit-variance Gaussian normal coordinates.
@@ -183,10 +196,8 @@ def gaussian_weingarten_batch(space: SpaceSpec, rng: np.random.Generator,
     Only the curved normal coordinates are drawn; the flat remainder never
     enters the operator.
     """
-    split = normal_split(space)
-    w = rng.standard_normal((count, len(split.w_labels)))
-    g = rng.standard_normal((count, len(split.g_labels)))
-    return assemble_batch(space, w, g)
+    return assemble_normals(
+        space, rng.standard_normal(count * curved_normal_dim(space)), count)
 
 
 @lru_cache(maxsize=128)
@@ -203,6 +214,19 @@ def _block_sampling_plan(group_sizes: tuple, profile: VarianceProfile):
             cols * group.size + rows)
 
 
+def place_block_entries(group_sizes: tuple, profile: VarianceProfile,
+                        entries: Array) -> Array:
+    """(count, m, m) view of a new (m m, count) buffer of block matrices from
+    (m(m+1)/2, count) normals, one row per upper entry, scaled in place."""
+    std, upper, lower = _block_sampling_plan(group_sizes, profile)
+    m, count = sum(group_sizes), entries.shape[1]
+    entries *= std
+    mats = np.empty((m * m, count))
+    mats[upper] = entries
+    mats[lower] = entries
+    return mats.reshape(m, m, count).transpose(2, 0, 1)
+
+
 def sample_block_matrix_batch(group_sizes, profile: VarianceProfile,
                               rng: np.random.Generator, count: int) -> Array:
     """Direct sampler of the block-Gaussian symmetric matrix.
@@ -216,14 +240,9 @@ def sample_block_matrix_batch(group_sizes, profile: VarianceProfile,
     group_sizes = _integers("group sizes", group_sizes)
     if len(group_sizes) != len(profile.within_offdiag):
         raise DomainError("profile and group sizes must have equal length")
-    std, upper, lower = _block_sampling_plan(group_sizes, profile)
     m = sum(group_sizes)
-    entries = rng.standard_normal((std.shape[0], count))
-    entries *= std
-    mats = np.empty((m * m, count))
-    mats[upper] = entries
-    mats[lower] = entries
-    return mats.reshape(m, m, count).transpose(2, 0, 1)
+    entries = rng.standard_normal((m * (m + 1) // 2, count))
+    return place_block_entries(group_sizes, profile, entries)
 
 
 def sample_gaussian_weingarten(space: SpaceSpec, seed: int,

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import threading
 import warnings
 
 import numpy as np
@@ -18,7 +20,9 @@ from svgeom import (
     tube_volume,
     variance_profile,
 )
+from svgeom import montecarlo, weingarten
 from svgeom.montecarlo import (
+    BATCH_SIZE,
     _batch_streams,
     _determinants,
     _hits,
@@ -26,7 +30,12 @@ from svgeom.montecarlo import (
     _mean_and_error,
 )
 from svgeom.tube import sphere_volume
-from svgeom.weingarten import PROFILE_NAMES, sample_block_matrix_batch
+from svgeom.weingarten import (
+    PROFILE_NAMES,
+    gaussian_weingarten_batch,
+    principal_minor_sums_batch,
+    sample_block_matrix_batch,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +312,151 @@ def test_tube_volume_generic_space_small_sample():
                            profile=variance_profile("weingarten",
                                                     space.degrees)).volume
     assert abs(est.volume - expected) <= 4 * est.std_error
+
+
+# ---------------------------------------------------------------------------
+# batch streams: background draws, threads and fork
+# ---------------------------------------------------------------------------
+
+EDGE_SAMPLES = (1, BATCH_SIZE - 1, BATCH_SIZE, BATCH_SIZE + 1,
+                2 * BATCH_SIZE + 1)
+
+
+@pytest.mark.parametrize("samples", EDGE_SAMPLES)
+@pytest.mark.parametrize("eps,dims,degrees", [
+    (0.3, (1,), (2,)), (0.4, (3,), (2,)), (0.4, (2, 2), (1, 1)),
+    (0.3, (1,), (3,)), (0.3, (1, 1), (2, 1))])
+def test_tube_hits_equal_a_sequential_reference(samples, eps, dims, degrees):
+    # Batch k + 1 is drawn while batch k is tested; the hits must equal
+    # those of drawing and testing one batch after the other.
+    space = SpaceSpec(dims, degrees)
+    cfg = McConfig(samples, seed=5)
+    want = 0
+    for rng, count in _batch_streams(cfg):
+        points = rng.standard_normal((count, space.ambient_dim))
+        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+        want += int(np.count_nonzero(_hits(space, points,
+                                           math.cos(eps) * norms)))
+    assert mc_tube_volume(space, eps, cfg).hits == want
+
+
+@pytest.mark.parametrize("samples", EDGE_SAMPLES)
+@pytest.mark.parametrize("sizes,degrees,profile", [
+    ((2, 2, 1, 1), (1, 1, 1, 1), "weingarten"),
+    ((3, 3), (2, 1), "def-d"), ((1,), (2,), "corollary")])
+def test_expected_det_equals_a_sequential_reference(samples, sizes, degrees,
+                                                    profile):
+    p = MatchingProblem(sizes, degrees, variance_profile(profile, degrees))
+    cfg = McConfig(samples, seed=6)
+    want = np.concatenate([
+        _determinants(np.moveaxis(
+            sample_block_matrix_batch(sizes, p.profile, rng, count), 0, -1))
+        for rng, count in _batch_streams(cfg)])
+    stats = mc_expected_det(p, cfg)
+    assert (stats.mean, stats.std_error) == _mean_and_error(want)
+    assert np.array_equal(stats.histogram.counts,
+                          _make_histogram(want).counts)
+
+
+@pytest.mark.parametrize("samples", EDGE_SAMPLES)
+@pytest.mark.parametrize("dims,degrees,i", [
+    ((2, 2), (1, 1), 1), ((3, 3), (2, 2), 2), ((2,), (3,), 1)])
+def test_minor_sum_equals_a_sequential_reference(samples, dims, degrees, i):
+    space = SpaceSpec(dims, degrees)
+    cfg = McConfig(samples, seed=7)
+    want = np.concatenate([
+        principal_minor_sums_batch(
+            gaussian_weingarten_batch(space, rng, count), 2 * i)
+        for rng, count in _batch_streams(cfg)])
+    stats = mc_minor_sum(space, i, cfg)
+    assert (stats.mean, stats.std_error) == _mean_and_error(want)
+
+
+def _all_estimators(samples):
+    mc_tube_volume(SpaceSpec((1,), (3,)), 0.3, McConfig(samples, seed=8))
+    mc_tube_volume(SpaceSpec((2, 2), (1, 1)), 0.4, McConfig(samples, seed=8))
+    mc_expected_det(MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1)),
+                    McConfig(samples, seed=8))
+    mc_minor_sum(SpaceSpec((2, 2), (1, 1)), 1, McConfig(samples, seed=8))
+
+
+def test_only_calls_of_several_batches_start_threads(monkeypatch):
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    _all_estimators(BATCH_SIZE)
+    assert started == []
+    _all_estimators(2 * BATCH_SIZE + 1)
+    # Two background draws per call, each joined before the call returns.
+    assert len(started) == 8
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_every_kernel_runs_on_the_calling_thread(monkeypatch):
+    # The background thread only draws normals.  The benchmark's span
+    # tracer keeps one stack per process and wraps these bindings, so a
+    # kernel on another thread would corrupt its spans.
+    idents = {}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            idents.setdefault(name, []).append(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    spy(weingarten, "assemble_batch")
+    spy(montecarlo, "_determinants")
+    spy(montecarlo, "principal_minor_sums_batch")
+    spy(montecarlo, "max_correlation_batch")
+    _all_estimators(2 * BATCH_SIZE + 1)
+    assert sorted(idents) == ["_determinants", "assemble_batch",
+                              "max_correlation_batch",
+                              "principal_minor_sums_batch"]
+    for calls in idents.values():
+        assert len(calls) == 3       # one per batch
+        assert set(calls) == {threading.get_ident()}
+
+
+def test_montecarlo_keeps_the_bindings_the_span_tracer_wraps():
+    for name in ("sample_block_matrix_batch", "gaussian_weingarten_batch",
+                 "principal_minor_sums_batch", "max_correlation_batch",
+                 "mc_tube_volume", "mc_expected_det", "mc_minor_sum"):
+        assert callable(getattr(montecarlo, name))
+
+
+def _tube_hits_in_child(conn):
+    est = mc_tube_volume(SpaceSpec((1,), (2,)), 0.3,
+                         McConfig(2 * BATCH_SIZE + 1, seed=9))
+    conn.send(est.hits)
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_a_forked_child_draws_its_own_batches():
+    cfg = McConfig(2 * BATCH_SIZE + 1, seed=9)
+    hits = mc_tube_volume(SpaceSpec((1,), (2,)), 0.3, cfg).hits
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_tube_hits_in_child, args=(send,))
+    child.start()
+    send.close()
+    try:
+        ready = receive.poll(60)
+        child_hits = receive.recv() if ready else None
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert ready, "the forked child did not finish within 60 s"
+    assert child_hits == hits
+    assert child.exitcode == 0
