@@ -34,7 +34,6 @@ from .matchings import (
     matching_determinant,
 )
 from .montecarlo import McConfig, mc_expected_det, mc_tube_volume
-from .selftest import run_all
 from .tube import EXPONENT_CONVENTIONS, tube_volume
 from .weingarten import (DEFAULT_PROFILE, PROFILE_NAMES,
                          sample_gaussian_weingarten, variance_profile)
@@ -152,6 +151,8 @@ def _mc_tube(args) -> dict:
 
 
 def _selftest(args) -> dict:
+    # Imported here: only this subcommand needs the largest module.
+    from .selftest import run_all
     results = run_all(full=args.full)
     for res in results:
         print(res.line(), file=sys.stderr)

@@ -8,11 +8,15 @@ the last, contiguous axis: determinants by Householder reflections swept
 over the batch, and tube hits by tests that are homogeneous in the row, so
 Gaussian rows are never normalized.
 
-While the calling thread runs batch k's kernels, a background thread draws
-batch k + 1's normals (one flat draw, in the public samplers' order) into
-the second of two BATCH_SIZE-sample buffers: outputs are bit-identical, a
-one-batch call draws inline with no thread, and each thread is joined
-before its batch is used, so a forked child never inherits one.
+A call of several batches starts one helper thread, which draws batches'
+normals (one flat draw each, in the public samplers' order) into a ring of
+RING_SLOTS BATCH_SIZE-sample buffers that the call owns, while the calling
+thread runs kernels.  The calling thread draws batch 0 itself and, when its
+next batch is not ready, the next free batch instead of waiting.  Kernels
+run only on the calling thread, and outputs are bit-identical to drawing
+one batch after the other.  A one-batch call draws inline with no thread,
+and the helper is joined before the call returns or raises, so a forked
+child never inherits one.
 """
 
 from __future__ import annotations
@@ -66,38 +70,132 @@ class McConfig:
             raise DomainError("seed must be nonnegative")
 
 
+def _batch_counts(samples: int) -> list[int]:
+    """Sizes of the batches that cover a sample count, in order."""
+    return [min(BATCH_SIZE, samples - done)
+            for done in range(0, samples, BATCH_SIZE)]
+
+
 def _batch_streams(cfg: McConfig):
     """Deterministic (generator, batch size) pairs covering cfg.samples."""
-    done = 0
-    index = 0
-    while done < cfg.samples:
-        count = min(BATCH_SIZE, cfg.samples - done)
+    for index, count in enumerate(_batch_counts(cfg.samples)):
         yield np.random.default_rng([cfg.seed, index]), count
-        done += count
-        index += 1
+
+
+def _draw(seed: int, index: int, out: np.ndarray) -> None:
+    """Fill out with batch index's normals, one flat draw from its stream."""
+    np.random.default_rng([seed, index]).standard_normal(out=out)
+
+
+RING_SLOTS = 3
+
+
+class _Ring:
+    """The batches of one call, drawn by the calling thread and one helper.
+
+    Batch k is drawn into slot k % RING_SLOTS once batch k - RING_SLOTS has
+    been handed back.  Batches are claimed in order under `cond`, drawn
+    without it, and marked ready under it again.
+    """
+
+    def __init__(self, cfg: McConfig, per_sample: int):
+        self.seed = cfg.seed
+        self.per_sample = per_sample
+        self.counts = _batch_counts(cfg.samples)
+        self.buffers = np.empty((RING_SLOTS, BATCH_SIZE * per_sample))
+        self.cond = threading.Condition(threading.Lock())
+        self.ready = [False] * len(self.counts)
+        # Batch 0 is the caller's, drawn while the helper starts, so the
+        # first kernels never wait for the helper.
+        self.claimed = 1           # batches 0 .. claimed - 1 have a drawer
+        self.handed_back = 0       # batches the caller is done with
+        self.stopped = False
+        self.error = None          # what stopped the helper, if it raised
+
+    def slot(self, k: int) -> np.ndarray:
+        return self.buffers[k % RING_SLOTS, :self.counts[k] * self.per_sample]
+
+    def claim(self) -> int | None:
+        """The next batch to draw, if its slot is free; holds cond."""
+        k = self.claimed
+        if k == len(self.counts) or k - RING_SLOTS >= self.handed_back:
+            return None
+        self.claimed += 1
+        return k
+
+    def fill(self, k: int) -> None:
+        """Draw claimed batch k with cond released; holds cond."""
+        self.cond.release()
+        try:
+            _draw(self.seed, k, self.slot(k))
+        finally:
+            self.cond.acquire()
+        self.ready[k] = True
+        self.cond.notify_all()
+
+    def help(self) -> None:
+        """The helper thread: draw claimable batches until all are claimed
+        or the call stops."""
+        with self.cond:
+            try:
+                while not self.stopped and self.claimed < len(self.counts):
+                    k = self.claim()
+                    if k is None:
+                        self.cond.wait()
+                    else:
+                        self.fill(k)
+            except BaseException as exc:
+                # Raised again in the caller, as a future would, so that it
+                # never waits for a batch that will not come.
+                self.error = exc
+                self.cond.notify_all()
+
+    def take(self, k: int) -> np.ndarray:
+        """Hand back batch k - 1 and return batch k, drawing the next
+        claimable batch instead of waiting while k is not ready."""
+        with self.cond:
+            self.handed_back = k
+            self.cond.notify_all()
+            while not self.ready[k]:
+                if self.error is not None:
+                    raise self.error
+                ahead = self.claim()
+                if ahead is None:
+                    self.cond.wait()
+                else:
+                    self.fill(ahead)
+        return self.slot(k)
+
+    def stop(self) -> None:
+        with self.cond:
+            self.stopped = True
+            self.cond.notify_all()
 
 
 def _batch_normals(cfg: McConfig, per_sample: int):
-    """(count, count * per_sample normals) per batch, valid until the next."""
-    streams = _batch_streams(cfg)
-    rng, count = next(streams)
-    if count == cfg.samples:
-        yield count, rng.standard_normal(count * per_sample)
+    """(count, count * per_sample normals) per batch, valid until the next.
+
+    A call of one batch draws inline.  A longer call starts one helper
+    thread, which draws into the call's ring beside the calling thread;
+    kernels run only on the calling thread, between yields.  Closing the
+    generator, or an exception in the caller, stops and joins the helper.
+    """
+    if cfg.samples <= BATCH_SIZE:
+        normals = np.empty(cfg.samples * per_sample)
+        _draw(cfg.seed, 0, normals)
+        yield cfg.samples, normals
         return
-    buffers = np.empty((2, BATCH_SIZE * per_sample))
-    current = rng.standard_normal(out=buffers[0])
-    for k, (rng, ahead_count) in enumerate(streams, 1):
-        ahead = buffers[k % 2, :ahead_count * per_sample]
-        # A draw into a contiguous float64 buffer allocates and raises nothing.
-        filler = threading.Thread(target=rng.standard_normal,
-                                  kwargs={"out": ahead})
-        filler.start()
-        try:
-            yield count, current
-        finally:
-            filler.join()
-        count, current = ahead_count, ahead
-    yield count, current
+    ring = _Ring(cfg, per_sample)
+    helper = threading.Thread(target=ring.help, daemon=True)
+    helper.start()
+    try:
+        with ring.cond:
+            ring.fill(0)
+        for k, count in enumerate(ring.counts):
+            yield count, ring.take(k)
+    finally:
+        ring.stop()
+        helper.join()
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +211,35 @@ class Histogram:
                 fh.write(f"{float(left)!r},{float(right)!r},{int(count)}\n")
 
 
+_TAILS = np.array([0.0005, 0.9995])
+
+
+def _tail_quantiles(values: np.ndarray) -> np.ndarray:
+    """np.quantile(values, _TAILS) of a finite 1-D array, bit for bit.
+
+    The same linear interpolation between order statistics, numpy's
+    `_lerp` included, but the order statistics come from one
+    `np.partition` instead of `np.quantile`, whose `np.unique` imports
+    numpy.ma on first use.
+    """
+    n = values.shape[0]
+    virtual = (n - 1) * _TAILS
+    above = virtual >= n - 1
+    # numpy's indices: -1, the maximum, wherever the index reaches it.
+    lower = np.where(above, -1, np.floor(virtual)).astype(np.intp)
+    upper = np.where(above, -1, lower + 1)
+    ordered = np.partition(values, np.concatenate((lower, upper)) % n)
+    a, b = ordered[lower], ordered[upper]
+    t = virtual - lower
+    diff = b - a
+    edges = a + diff * t
+    np.subtract(b, diff * (1 - t), out=edges, where=t >= 0.5)
+    return edges
+
+
 def _make_histogram(values: np.ndarray) -> Histogram:
     # Heavy determinant tails would otherwise dominate the binning.
-    lo, hi = np.quantile(values, [0.0005, 0.9995])
+    lo, hi = _tail_quantiles(values)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     counts, edges = np.histogram(values, bins=100, range=(float(lo), float(hi)))

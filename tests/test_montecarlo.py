@@ -1,7 +1,11 @@
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,14 +24,20 @@ from svgeom import (
     tube_volume,
     variance_profile,
 )
+import svgeom
 from svgeom import montecarlo, weingarten
 from svgeom.montecarlo import (
     BATCH_SIZE,
+    RING_SLOTS,
+    _TAILS,
+    _batch_counts,
     _batch_streams,
     _determinants,
+    _draw,
     _hits,
     _make_histogram,
     _mean_and_error,
+    _tail_quantiles,
 )
 from svgeom.tube import sphere_volume
 from svgeom.weingarten import (
@@ -200,6 +210,59 @@ def test_expected_det_writes_its_histogram(tmp_path):
         stats.histogram.bin_edges[:-1].tolist()
 
 
+def _tail_cases():
+    rng = np.random.default_rng(23)
+    return {
+        "normal-20001": rng.standard_normal(20_001),
+        "cauchy-8193": rng.standard_cauchy(8_193),
+        "normal-3": rng.standard_normal(3),
+        "tied": np.round(rng.standard_normal(5_000)),
+        "few-ties": np.repeat([-2.0, 0.5, 3.0], [1, 3000, 2]),
+        "constant": np.full(100, 1.25),
+        "negative-zeros": np.full(9, -0.0),
+        "signed-zeros": np.array([0.0, -0.0, -0.0, 0.0]),
+        "length-1": np.array([-3.5]),
+        "length-1-negative-zero": np.array([-0.0]),
+        "length-2": np.array([2.0, -1.0]),
+        "length-2-tied": np.array([0.0, -0.0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_tail_cases()))
+def test_histogram_edges_equal_numpy_quantiles_bit_for_bit(name):
+    values = _tail_cases()[name]
+    before = values.copy()
+    want = np.quantile(values, _TAILS)
+    assert _tail_quantiles(values).tobytes() == want.tobytes()
+    assert values.tobytes() == before.tobytes()
+    lo, hi = want
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    counts, edges = np.histogram(values, bins=100,
+                                 range=(float(lo), float(hi)))
+    hist = _make_histogram(values)
+    assert hist.bin_edges.tobytes() == edges.tobytes()
+    assert np.array_equal(hist.counts, counts)
+
+
+def test_expected_det_leaves_numpy_ma_unimported():
+    # np.quantile imports numpy.ma through np.unique on its first call,
+    # which would cost every fresh process its first mc_expected_det.
+    script = (
+        "import sys\n"
+        "from svgeom import MatchingProblem, McConfig, mc_expected_det\n"
+        "p = MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1))\n"
+        f"for samples in (500, {2 * BATCH_SIZE + 1}):\n"
+        "    mc_expected_det(p, McConfig(samples, seed=3))\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    src = str(Path(svgeom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 # ---------------------------------------------------------------------------
 # minor sums
 # ---------------------------------------------------------------------------
@@ -315,11 +378,42 @@ def test_tube_volume_generic_space_small_sample():
 
 
 # ---------------------------------------------------------------------------
-# batch streams: background draws, threads and fork
+# batch streams: the draw ring, its helper thread and fork
 # ---------------------------------------------------------------------------
 
 EDGE_SAMPLES = (1, BATCH_SIZE - 1, BATCH_SIZE, BATCH_SIZE + 1,
                 2 * BATCH_SIZE + 1)
+
+
+def _sequential_hits(space, eps, cfg):
+    # Draw and test one batch after the other.
+    hits = 0
+    for rng, count in _batch_streams(cfg):
+        points = rng.standard_normal((count, space.ambient_dim))
+        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+        hits += int(np.count_nonzero(_hits(space, points,
+                                           math.cos(eps) * norms)))
+    return hits
+
+
+def _sequential_determinants(problem, cfg):
+    return np.concatenate([
+        _determinants(np.moveaxis(sample_block_matrix_batch(
+            problem.group_sizes, problem.profile, rng, count), 0, -1))
+        for rng, count in _batch_streams(cfg)])
+
+
+def _sequential_minor_sums(space, i, cfg):
+    return np.concatenate([
+        principal_minor_sums_batch(
+            gaussian_weingarten_batch(space, rng, count), 2 * i)
+        for rng, count in _batch_streams(cfg)])
+
+
+def _assert_det_stats_equal(stats, want):
+    assert (stats.mean, stats.std_error) == _mean_and_error(want)
+    assert np.array_equal(stats.histogram.counts,
+                          _make_histogram(want).counts)
 
 
 @pytest.mark.parametrize("samples", EDGE_SAMPLES)
@@ -327,17 +421,12 @@ EDGE_SAMPLES = (1, BATCH_SIZE - 1, BATCH_SIZE, BATCH_SIZE + 1,
     (0.3, (1,), (2,)), (0.4, (3,), (2,)), (0.4, (2, 2), (1, 1)),
     (0.3, (1,), (3,)), (0.3, (1, 1), (2, 1))])
 def test_tube_hits_equal_a_sequential_reference(samples, eps, dims, degrees):
-    # Batch k + 1 is drawn while batch k is tested; the hits must equal
+    # Batches are drawn ahead of the one being tested; the hits must equal
     # those of drawing and testing one batch after the other.
     space = SpaceSpec(dims, degrees)
     cfg = McConfig(samples, seed=5)
-    want = 0
-    for rng, count in _batch_streams(cfg):
-        points = rng.standard_normal((count, space.ambient_dim))
-        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-        want += int(np.count_nonzero(_hits(space, points,
-                                           math.cos(eps) * norms)))
-    assert mc_tube_volume(space, eps, cfg).hits == want
+    assert mc_tube_volume(space, eps, cfg).hits == \
+        _sequential_hits(space, eps, cfg)
 
 
 @pytest.mark.parametrize("samples", EDGE_SAMPLES)
@@ -348,14 +437,8 @@ def test_expected_det_equals_a_sequential_reference(samples, sizes, degrees,
                                                     profile):
     p = MatchingProblem(sizes, degrees, variance_profile(profile, degrees))
     cfg = McConfig(samples, seed=6)
-    want = np.concatenate([
-        _determinants(np.moveaxis(
-            sample_block_matrix_batch(sizes, p.profile, rng, count), 0, -1))
-        for rng, count in _batch_streams(cfg)])
-    stats = mc_expected_det(p, cfg)
-    assert (stats.mean, stats.std_error) == _mean_and_error(want)
-    assert np.array_equal(stats.histogram.counts,
-                          _make_histogram(want).counts)
+    _assert_det_stats_equal(mc_expected_det(p, cfg),
+                            _sequential_determinants(p, cfg))
 
 
 @pytest.mark.parametrize("samples", EDGE_SAMPLES)
@@ -364,12 +447,9 @@ def test_expected_det_equals_a_sequential_reference(samples, sizes, degrees,
 def test_minor_sum_equals_a_sequential_reference(samples, dims, degrees, i):
     space = SpaceSpec(dims, degrees)
     cfg = McConfig(samples, seed=7)
-    want = np.concatenate([
-        principal_minor_sums_batch(
-            gaussian_weingarten_batch(space, rng, count), 2 * i)
-        for rng, count in _batch_streams(cfg)])
     stats = mc_minor_sum(space, i, cfg)
-    assert (stats.mean, stats.std_error) == _mean_and_error(want)
+    assert (stats.mean, stats.std_error) == \
+        _mean_and_error(_sequential_minor_sums(space, i, cfg))
 
 
 def _all_estimators(samples):
@@ -380,7 +460,7 @@ def _all_estimators(samples):
     mc_minor_sum(SpaceSpec((2, 2), (1, 1)), 1, McConfig(samples, seed=8))
 
 
-def test_only_calls_of_several_batches_start_threads(monkeypatch):
+def _record_threads(monkeypatch):
     started = []
 
     class Recorded(threading.Thread):
@@ -389,16 +469,159 @@ def test_only_calls_of_several_batches_start_threads(monkeypatch):
             super().start()
 
     monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+def test_only_calls_of_several_batches_start_threads(monkeypatch):
+    started = _record_threads(monkeypatch)
     _all_estimators(BATCH_SIZE)
     assert started == []
     _all_estimators(2 * BATCH_SIZE + 1)
-    # Two background draws per call, each joined before the call returns.
-    assert len(started) == 8
+    # One helper per call, joined before the call returns.
+    assert len(started) == 4
     assert not any(thread.is_alive() for thread in started)
 
 
+class HeldHelper:
+    """Stands in for `montecarlo._draw` during one estimator call.
+
+    The caller draws batch 0 and the helper claims batch 1.  The helper's
+    draw waits until the calling thread has drawn every batch it may draw
+    meanwhile (RING_SLOTS - 1, or all but one), and the caller's first
+    draw waits until the helper is held, so in a call of three batches the
+    caller must draw batch 2 while batch 1 is not ready.
+    """
+
+    def __init__(self, samples):
+        self.batches = len(_batch_counts(samples))
+        self.caller = threading.get_ident()
+        self.caller_draws = []
+        self.helper_draws = []
+        self.helper_held = threading.Event()
+        self.release = threading.Event()
+        self.helper_was_held = None
+        self.released_by_caller = None
+
+    def __call__(self, seed, index, out):
+        if threading.get_ident() == self.caller:
+            if self.batches > 1 and not self.caller_draws:
+                self.helper_was_held = self.helper_held.wait(30)
+            _draw(seed, index, out)
+            self.caller_draws.append(index)
+            if len(self.caller_draws) == min(RING_SLOTS - 1,
+                                             self.batches - 1):
+                self.release.set()
+        else:
+            if not self.helper_draws:
+                self.helper_held.set()
+                self.released_by_caller = self.release.wait(30)
+            _draw(seed, index, out)
+            self.helper_draws.append(index)
+
+    def check(self):
+        if self.batches == 1:
+            assert (self.caller_draws, self.helper_draws) == ([0], [])
+            return
+        assert self.helper_was_held is True
+        assert self.released_by_caller is True
+        assert self.helper_draws == [1]
+        assert self.caller_draws == [0, 2][:self.batches - 1]
+
+
+@pytest.mark.parametrize("samples", EDGE_SAMPLES)
+def test_the_caller_draws_ahead_of_a_held_back_helper(samples, monkeypatch):
+    started = _record_threads(monkeypatch)
+
+    def held_call(estimate):
+        held = HeldHelper(samples)
+        monkeypatch.setattr(montecarlo, "_draw", held)
+        result = estimate()
+        held.check()
+        return result
+
+    space = SpaceSpec((3,), (2,))
+    cfg = McConfig(samples, seed=5)
+    assert held_call(lambda: mc_tube_volume(space, 0.4, cfg)).hits == \
+        _sequential_hits(space, 0.4, cfg)
+    p = MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1))
+    _assert_det_stats_equal(held_call(lambda: mc_expected_det(p, cfg)),
+                            _sequential_determinants(p, cfg))
+    space = SpaceSpec((3, 3), (2, 2))
+    stats = held_call(lambda: mc_minor_sum(space, 2, cfg))
+    assert (stats.mean, stats.std_error) == \
+        _mean_and_error(_sequential_minor_sums(space, 2, cfg))
+    assert len(started) == (3 if samples > BATCH_SIZE else 0)
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_a_kernel_error_stops_the_helper(monkeypatch):
+    started = _record_threads(monkeypatch)
+    determinants = montecarlo._determinants
+    batches = []
+
+    def failing(a):
+        batches.append(len(batches))
+        if batches[-1] == 2:
+            raise RuntimeError("kernel failed on batch 2")
+        return determinants(a)
+
+    def call():
+        with pytest.raises(RuntimeError, match="batch 2"):
+            mc_expected_det(MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1)),
+                            McConfig(6 * BATCH_SIZE, seed=10))
+        done.append(True)
+
+    monkeypatch.setattr(montecarlo, "_determinants", failing)
+    done = []
+    # On its own thread, so that a helper left waiting fails the test
+    # instead of hanging it.
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(60)
+    assert not caller.is_alive(), "the call did not return within 60 s"
+    assert done == [True]
+    assert batches == [0, 1, 2]
+    assert len(started) == 2                 # the caller and its helper
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_concurrent_calls_under_fast_switching_keep_their_streams(
+        monkeypatch):
+    # Four callers, each with its own helper, on a box of fewer cores, and
+    # the interpreter switching threads every 10 us: every batch must
+    # still hold its own stream's normals, and every thread must finish.
+    started = _record_threads(monkeypatch)
+    cases = [(McConfig(7 * BATCH_SIZE + 5, seed=seed), per_sample)
+             for seed, per_sample in ((1, 1), (2, 2), (3, 3), (4, 1))]
+    wrong = []
+
+    def check(cfg, per_sample):
+        got = [normals.copy() for _, normals in
+               montecarlo._batch_normals(cfg, per_sample)]
+        want = [rng.standard_normal(count * per_sample)
+                for rng, count in _batch_streams(cfg)]
+        if len(got) != len(want) or \
+                not all(map(np.array_equal, got, want)):
+            wrong.append(cfg.seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=check, args=case)
+                   for case in cases]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 2 * len(cases)      # the callers and helpers
+    assert not any(thread.is_alive() for thread in started)
+    assert wrong == []
+
+
 def test_every_kernel_runs_on_the_calling_thread(monkeypatch):
-    # The background thread only draws normals.  The benchmark's span
+    # The helper thread only draws normals.  The benchmark's span
     # tracer keeps one stack per process and wraps these bindings, so a
     # kernel on another thread would corrupt its spans.
     idents = {}
