@@ -8,15 +8,15 @@ the last, contiguous axis: determinants by Householder reflections swept
 over the batch, and tube hits by tests that are homogeneous in the row, so
 Gaussian rows are never normalized.
 
-A call of several batches starts one helper thread, which draws batches'
-normals (one flat draw each, in the public samplers' order) into a ring of
-RING_SLOTS BATCH_SIZE-sample buffers that the call owns, while the calling
-thread runs kernels.  The calling thread draws batch 0 itself and, when its
-next batch is not ready, the next free batch instead of waiting.  Kernels
-run only on the calling thread, and outputs are bit-identical to drawing
-one batch after the other.  A one-batch call draws inline with no thread,
-and the helper is joined before the call returns or raises, so a forked
-child never inherits one.
+A call of several batches starts one helper thread, which draws batches
+1, 2, ... in order (one flat draw each, in the public samplers' order) into
+a ring of RING_SLOTS BATCH_SIZE-sample buffers that the call owns, while
+the calling thread draws batch 0 and then runs every kernel.  Two
+semaphores hand the slots back and forth, so the hand-off's state does
+not grow with the number of batches, and outputs are bit-identical to
+drawing one batch after the other.  A one-batch call draws inline with
+no thread, and the helper is joined before the call returns or raises, so
+a forked child never inherits one.
 """
 
 from __future__ import annotations
@@ -90,111 +90,62 @@ def _draw(seed: int, index: int, out: np.ndarray) -> None:
 RING_SLOTS = 3
 
 
-class _Ring:
-    """The batches of one call, drawn by the calling thread and one helper.
-
-    Batch k is drawn into slot k % RING_SLOTS once batch k - RING_SLOTS has
-    been handed back.  Batches are claimed in order under `cond`, drawn
-    without it, and marked ready under it again.
-    """
-
-    def __init__(self, cfg: McConfig, per_sample: int):
-        self.seed = cfg.seed
-        self.per_sample = per_sample
-        self.counts = _batch_counts(cfg.samples)
-        self.buffers = np.empty((RING_SLOTS, BATCH_SIZE * per_sample))
-        self.cond = threading.Condition(threading.Lock())
-        self.ready = [False] * len(self.counts)
-        # Batch 0 is the caller's, drawn while the helper starts, so the
-        # first kernels never wait for the helper.
-        self.claimed = 1           # batches 0 .. claimed - 1 have a drawer
-        self.handed_back = 0       # batches the caller is done with
-        self.stopped = False
-        self.error = None          # what stopped the helper, if it raised
-
-    def slot(self, k: int) -> np.ndarray:
-        return self.buffers[k % RING_SLOTS, :self.counts[k] * self.per_sample]
-
-    def claim(self) -> int | None:
-        """The next batch to draw, if its slot is free; holds cond."""
-        k = self.claimed
-        if k == len(self.counts) or k - RING_SLOTS >= self.handed_back:
-            return None
-        self.claimed += 1
-        return k
-
-    def fill(self, k: int) -> None:
-        """Draw claimed batch k with cond released; holds cond."""
-        self.cond.release()
-        try:
-            _draw(self.seed, k, self.slot(k))
-        finally:
-            self.cond.acquire()
-        self.ready[k] = True
-        self.cond.notify_all()
-
-    def help(self) -> None:
-        """The helper thread: draw claimable batches until all are claimed
-        or the call stops."""
-        with self.cond:
-            try:
-                while not self.stopped and self.claimed < len(self.counts):
-                    k = self.claim()
-                    if k is None:
-                        self.cond.wait()
-                    else:
-                        self.fill(k)
-            except BaseException as exc:
-                # Raised again in the caller, as a future would, so that it
-                # never waits for a batch that will not come.
-                self.error = exc
-                self.cond.notify_all()
-
-    def take(self, k: int) -> np.ndarray:
-        """Hand back batch k - 1 and return batch k, drawing the next
-        claimable batch instead of waiting while k is not ready."""
-        with self.cond:
-            self.handed_back = k
-            self.cond.notify_all()
-            while not self.ready[k]:
-                if self.error is not None:
-                    raise self.error
-                ahead = self.claim()
-                if ahead is None:
-                    self.cond.wait()
-                else:
-                    self.fill(ahead)
-        return self.slot(k)
-
-    def stop(self) -> None:
-        with self.cond:
-            self.stopped = True
-            self.cond.notify_all()
-
-
 def _batch_normals(cfg: McConfig, per_sample: int):
     """(count, count * per_sample normals) per batch, valid until the next.
 
-    A call of one batch draws inline.  A longer call starts one helper
-    thread, which draws into the call's ring beside the calling thread;
-    kernels run only on the calling thread, between yields.  Closing the
-    generator, or an exception in the caller, stops and joins the helper.
+    A call of one batch draws inline.  A longer call draws batch k into
+    slot k % RING_SLOTS of one ring: the calling thread draws batch 0
+    while one helper thread starts, and the helper draws batches 1, 2, ...
+    in order, taking a `free` permit before each draw and giving a `drawn`
+    permit after it.  The caller takes `drawn` before each later batch and
+    gives `free` back when done with a batch.  Kernels run only on the
+    calling thread, between yields.  An error in the helper is raised in
+    the caller; returning, closing or an error in the caller stops and
+    joins the helper.
     """
     if cfg.samples <= BATCH_SIZE:
         normals = np.empty(cfg.samples * per_sample)
         _draw(cfg.seed, 0, normals)
         yield cfg.samples, normals
         return
-    ring = _Ring(cfg, per_sample)
-    helper = threading.Thread(target=ring.help, daemon=True)
+    counts = _batch_counts(cfg.samples)
+    ring = np.empty((RING_SLOTS, BATCH_SIZE * per_sample))
+    free = threading.Semaphore(RING_SLOTS - 1)     # slot 0 is batch 0's
+    drawn = threading.Semaphore(0)
+    stop = threading.Event()
+    error = []
+
+    def slot(k: int) -> np.ndarray:
+        return ring[k % RING_SLOTS, :counts[k] * per_sample]
+
+    def draw_in_order() -> None:
+        try:
+            for k in range(1, len(counts)):
+                free.acquire()
+                if stop.is_set():
+                    return
+                _draw(cfg.seed, k, slot(k))
+                drawn.release()
+        except BaseException as exc:
+            # Raised again in the caller, which would otherwise wait for
+            # a batch that will not come.
+            error.append(exc)
+            drawn.release()
+
+    helper = threading.Thread(target=draw_in_order, daemon=True)
     helper.start()
     try:
-        with ring.cond:
-            ring.fill(0)
-        for k, count in enumerate(ring.counts):
-            yield count, ring.take(k)
+        _draw(cfg.seed, 0, slot(0))
+        for k, count in enumerate(counts):
+            if k:
+                drawn.acquire()
+                if error:
+                    raise error[0]
+            yield count, slot(k)
+            free.release()
     finally:
-        ring.stop()
+        stop.set()
+        free.release()
         helper.join()
 
 

@@ -28,7 +28,6 @@ import svgeom
 from svgeom import montecarlo, weingarten
 from svgeom.montecarlo import (
     BATCH_SIZE,
-    RING_SLOTS,
     _TAILS,
     _batch_counts,
     _batch_streams,
@@ -378,7 +377,7 @@ def test_tube_volume_generic_space_small_sample():
 
 
 # ---------------------------------------------------------------------------
-# batch streams: the draw ring, its helper thread and fork
+# batch streams: the in-order draw helper, its ring and fork
 # ---------------------------------------------------------------------------
 
 EDGE_SAMPLES = (1, BATCH_SIZE - 1, BATCH_SIZE, BATCH_SIZE + 1,
@@ -485,58 +484,46 @@ def test_only_calls_of_several_batches_start_threads(monkeypatch):
 class HeldHelper:
     """Stands in for `montecarlo._draw` during one estimator call.
 
-    The caller draws batch 0 and the helper claims batch 1.  The helper's
-    draw waits until the calling thread has drawn every batch it may draw
-    meanwhile (RING_SLOTS - 1, or all but one), and the caller's first
-    draw waits until the helper is held, so in a call of three batches the
-    caller must draw batch 2 while batch 1 is not ready.
+    The helper's first draw waits until `release` is set, by a timer, so
+    a caller that drew ahead of its helper would be seen drawing a batch
+    after 0.
     """
 
-    def __init__(self, samples):
-        self.batches = len(_batch_counts(samples))
+    def __init__(self):
         self.caller = threading.get_ident()
         self.caller_draws = []
         self.helper_draws = []
-        self.helper_held = threading.Event()
         self.release = threading.Event()
-        self.helper_was_held = None
-        self.released_by_caller = None
+        self.released = None
 
     def __call__(self, seed, index, out):
         if threading.get_ident() == self.caller:
-            if self.batches > 1 and not self.caller_draws:
-                self.helper_was_held = self.helper_held.wait(30)
-            _draw(seed, index, out)
             self.caller_draws.append(index)
-            if len(self.caller_draws) == min(RING_SLOTS - 1,
-                                             self.batches - 1):
-                self.release.set()
         else:
             if not self.helper_draws:
-                self.helper_held.set()
-                self.released_by_caller = self.release.wait(30)
-            _draw(seed, index, out)
+                self.released = self.release.wait(30)
             self.helper_draws.append(index)
-
-    def check(self):
-        if self.batches == 1:
-            assert (self.caller_draws, self.helper_draws) == ([0], [])
-            return
-        assert self.helper_was_held is True
-        assert self.released_by_caller is True
-        assert self.helper_draws == [1]
-        assert self.caller_draws == [0, 2][:self.batches - 1]
+        _draw(seed, index, out)
 
 
 @pytest.mark.parametrize("samples", EDGE_SAMPLES)
-def test_the_caller_draws_ahead_of_a_held_back_helper(samples, monkeypatch):
+def test_the_helper_draws_every_later_batch_in_order(samples, monkeypatch):
     started = _record_threads(monkeypatch)
+    batches = len(_batch_counts(samples))
 
     def held_call(estimate):
-        held = HeldHelper(samples)
+        held = HeldHelper()
         monkeypatch.setattr(montecarlo, "_draw", held)
-        result = estimate()
-        held.check()
+        timer = threading.Timer(0.05, held.release.set)
+        timer.start()
+        try:
+            result = estimate()
+        finally:
+            timer.cancel()
+            timer.join()
+        assert held.caller_draws == [0]
+        assert held.helper_draws == list(range(1, batches))
+        assert held.released is (True if batches > 1 else None)
         return result
 
     space = SpaceSpec((3,), (2,))
@@ -550,8 +537,67 @@ def test_the_caller_draws_ahead_of_a_held_back_helper(samples, monkeypatch):
     stats = held_call(lambda: mc_minor_sum(space, 2, cfg))
     assert (stats.mean, stats.std_error) == \
         _mean_and_error(_sequential_minor_sums(space, 2, cfg))
-    assert len(started) == (3 if samples > BATCH_SIZE else 0)
+    assert len(started) == (3 if batches > 1 else 0)
     assert not any(thread.is_alive() for thread in started)
+
+
+def _finishes_within(seconds, target):
+    # On its own thread, so that a helper left waiting fails the test
+    # instead of hanging it.
+    caller = threading.Thread(target=target, daemon=True)
+    caller.start()
+    caller.join(seconds)
+    return not caller.is_alive()
+
+
+def test_a_helper_error_is_raised_in_the_caller(monkeypatch):
+    started = _record_threads(monkeypatch)
+    hits = montecarlo._hits
+    tested = []
+    batch_1_tested = threading.Event()
+
+    def counted(*args):
+        result = hits(*args)
+        tested.append(len(tested))
+        if len(tested) == 2:
+            batch_1_tested.set()
+        return result
+
+    def failing(seed, index, out):
+        # Batch 2 fails only once the caller is past batch 1, so the
+        # caller is waiting for batch 2, not about to see the error.
+        if index == 2:
+            batch_1_tested.wait(30)
+            raise RuntimeError("draw failed on batch 2")
+        _draw(seed, index, out)
+
+    def call():
+        with pytest.raises(RuntimeError, match="batch 2"):
+            mc_tube_volume(SpaceSpec((1,), (2,)), 0.3,
+                           McConfig(6 * BATCH_SIZE, seed=10))
+        done.append(True)
+
+    monkeypatch.setattr(montecarlo, "_hits", counted)
+    monkeypatch.setattr(montecarlo, "_draw", failing)
+    done = []
+    assert _finishes_within(60, call), "the call did not return within 60 s"
+    assert done == [True]
+    assert tested == [0, 1]
+    assert len(started) == 2                 # the caller and its helper
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_closing_the_batches_joins_the_helper(monkeypatch):
+    started = _record_threads(monkeypatch)
+    batches = montecarlo._batch_normals(McConfig(6 * BATCH_SIZE, seed=11), 2)
+    next(batches)
+    next(batches)
+    # The helper can draw batches 1 to 3 only, so it waits for a free slot.
+    [helper] = started
+    assert helper.is_alive()
+    assert _finishes_within(60, batches.close), \
+        "closing did not return within 60 s"
+    assert not helper.is_alive()
 
 
 def test_a_kernel_error_stops_the_helper(monkeypatch):
