@@ -8,22 +8,21 @@ the last, contiguous axis: determinants by Householder reflections swept
 over the batch, and tube hits by tests that are homogeneous in the row, so
 Gaussian rows are never normalized.
 
-A call of several batches starts one helper thread, which draws batches
-1, 2, ... in order (one flat draw each, in the public samplers' order) into
-a ring of RING_SLOTS BATCH_SIZE-sample buffers that the call owns, while
-the calling thread draws batch 0 and then runs every kernel.  Two
-semaphores hand the slots back and forth, so the hand-off's state does
-not grow with the number of batches, and outputs are bit-identical to
-drawing one batch after the other.  A one-batch call draws inline with
-no thread, and the helper is joined before the call returns or raises, so
-a forked child never inherits one.
+A call of several batches draws batches 1, 2, ... in order on a
+one-thread executor (one flat draw each, in the public samplers' order)
+into a ring of RING_SLOTS BATCH_SIZE-sample buffers that the call owns,
+while the calling thread draws batch 0 and then runs every kernel.  A
+batch's draw is submitted only once the slot it fills is free, so at most
+RING_SLOTS - 1 draws are pending, and outputs are bit-identical to drawing
+one batch after the other.  A one-batch call draws inline with no thread,
+and the executor is shut down before the call returns or raises, so a
+forked child never inherits its thread.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,12 +75,6 @@ def _batch_counts(samples: int) -> list[int]:
             for done in range(0, samples, BATCH_SIZE)]
 
 
-def _batch_streams(cfg: McConfig):
-    """Deterministic (generator, batch size) pairs covering cfg.samples."""
-    for index, count in enumerate(_batch_counts(cfg.samples)):
-        yield np.random.default_rng([cfg.seed, index]), count
-
-
 def _draw(seed: int, index: int, out: np.ndarray) -> None:
     """Fill out with batch index's normals, one flat draw from its stream."""
     np.random.default_rng([seed, index]).standard_normal(out=out)
@@ -94,59 +87,45 @@ def _batch_normals(cfg: McConfig, per_sample: int):
     """(count, count * per_sample normals) per batch, valid until the next.
 
     A call of one batch draws inline.  A longer call draws batch k into
-    slot k % RING_SLOTS of one ring: the calling thread draws batch 0
-    while one helper thread starts, and the helper draws batches 1, 2, ...
-    in order, taking a `free` permit before each draw and giving a `drawn`
-    permit after it.  The caller takes `drawn` before each later batch and
-    gives `free` back when done with a batch.  Kernels run only on the
-    calling thread, between yields.  An error in the helper is raised in
-    the caller; returning, closing or an error in the caller stops and
-    joins the helper.
+    slot k % RING_SLOTS of one ring: the calling thread draws batch 0,
+    and a one-thread executor draws batches 1, 2, ... in order.  Batch
+    k + RING_SLOTS is submitted once the caller hands batch k, and so its
+    slot, back, and the caller waits on each later batch's future before
+    yielding it.  Kernels run only on the calling thread, between yields.
+    A draw's error is raised in the caller by its future; returning,
+    closing or an error in the caller cancels the pending draws and joins
+    the executor's thread.
     """
     if cfg.samples <= BATCH_SIZE:
         normals = np.empty(cfg.samples * per_sample)
         _draw(cfg.seed, 0, normals)
         yield cfg.samples, normals
         return
+    # Not at the top: concurrent.futures imports logging, slowing startup.
+    from concurrent.futures import ThreadPoolExecutor
     counts = _batch_counts(cfg.samples)
     ring = np.empty((RING_SLOTS, BATCH_SIZE * per_sample))
-    free = threading.Semaphore(RING_SLOTS - 1)     # slot 0 is batch 0's
-    drawn = threading.Semaphore(0)
-    stop = threading.Event()
-    error = []
+    helper = ThreadPoolExecutor(max_workers=1)
+    drawn = {}
 
     def slot(k: int) -> np.ndarray:
         return ring[k % RING_SLOTS, :counts[k] * per_sample]
 
-    def draw_in_order() -> None:
-        try:
-            for k in range(1, len(counts)):
-                free.acquire()
-                if stop.is_set():
-                    return
-                _draw(cfg.seed, k, slot(k))
-                drawn.release()
-        except BaseException as exc:
-            # Raised again in the caller, which would otherwise wait for
-            # a batch that will not come.
-            error.append(exc)
-            drawn.release()
+    def draw_ahead(k: int) -> None:
+        if k < len(counts):
+            drawn[k] = helper.submit(_draw, cfg.seed, k, slot(k))
 
-    helper = threading.Thread(target=draw_in_order, daemon=True)
-    helper.start()
     try:
+        for k in range(1, RING_SLOTS):
+            draw_ahead(k)
         _draw(cfg.seed, 0, slot(0))
         for k, count in enumerate(counts):
             if k:
-                drawn.acquire()
-                if error:
-                    raise error[0]
+                drawn.pop(k).result()
             yield count, slot(k)
-            free.release()
+            draw_ahead(k + RING_SLOTS)
     finally:
-        stop.set()
-        free.release()
-        helper.join()
+        helper.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -28,9 +29,9 @@ import svgeom
 from svgeom import montecarlo, weingarten
 from svgeom.montecarlo import (
     BATCH_SIZE,
+    RING_SLOTS,
     _TAILS,
     _batch_counts,
-    _batch_streams,
     _determinants,
     _draw,
     _hits,
@@ -45,6 +46,13 @@ from svgeom.weingarten import (
     principal_minor_sums_batch,
     sample_block_matrix_batch,
 )
+
+
+def _batch_streams(cfg):
+    """The sequential reference: a (generator, batch size) pair per batch,
+    in order, each generator seeded with (seed, batch index)."""
+    for index, count in enumerate(_batch_counts(cfg.samples)):
+        yield np.random.default_rng([cfg.seed, index]), count
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +595,58 @@ def test_a_helper_error_is_raised_in_the_caller(monkeypatch):
     assert not any(thread.is_alive() for thread in started)
 
 
+def test_the_helper_draws_no_further_ahead_than_the_ring(monkeypatch):
+    # Batch k + RING_SLOTS fills batch k's slot, so while the caller holds
+    # batch k the helper must not have started a draw past
+    # k + RING_SLOTS - 1, and batch k must still hold its own normals.
+    cfg = McConfig(6 * BATCH_SIZE, seed=12)
+    started = []
+
+    def recorded(seed, index, out):
+        started.append(index)
+        _draw(seed, index, out)
+
+    monkeypatch.setattr(montecarlo, "_draw", recorded)
+    batches = montecarlo._batch_normals(cfg, 2)
+    try:
+        for k, (count, normals) in enumerate(batches):
+            time.sleep(0.2)              # time for the helper to run ahead
+            assert max(started) <= k + RING_SLOTS - 1
+            want = np.random.default_rng([cfg.seed, k]).standard_normal(
+                2 * count)
+            assert np.array_equal(normals, want)
+    finally:
+        batches.close()
+    assert sorted(started) == list(range(6))
+
+
+def test_calls_of_one_batch_leave_concurrent_futures_unimported():
+    # concurrent.futures imports logging, which would cost every fresh
+    # process, and so every CLI call, at startup.
+    script = (
+        "import sys\n"
+        "from svgeom import McConfig, SpaceSpec, mc_minor_sum\n"
+        "from svgeom.cli import main\n"
+        "space = ['--dims', '2,2', '--degrees', '1,1', '--samples', '100']\n"
+        "assert main(['mc-tube', '--epsilon', '0.3', *space]) == 0\n"
+        "assert main(['mc-det', *space]) == 0\n"
+        f"mc_minor_sum(SpaceSpec((2, 2), (1, 1)), 1, McConfig({BATCH_SIZE}))\n"
+        "assert 'concurrent.futures' not in sys.modules\n")
+    src = str(Path(svgeom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_closing_the_batches_joins_the_helper(monkeypatch):
     started = _record_threads(monkeypatch)
     batches = montecarlo._batch_normals(McConfig(6 * BATCH_SIZE, seed=11), 2)
     next(batches)
     next(batches)
-    # The helper can draw batches 1 to 3 only, so it waits for a free slot.
+    # Batch 4 is not submitted until batch 1 is handed back, so the
+    # helper's thread idles on its executor's queue, alive.
     [helper] = started
     assert helper.is_alive()
     assert _finishes_within(60, batches.close), \
