@@ -8,15 +8,15 @@ the last, contiguous axis: determinants by Householder reflections swept
 over the batch, and tube hits by tests that are homogeneous in the row, so
 Gaussian rows are never normalized.
 
-A call of several batches draws batches 1, 2, ... in order on a
-one-thread executor (one flat draw each, in the public samplers' order)
-into a ring of RING_SLOTS BATCH_SIZE-sample buffers that the call owns,
-while the calling thread draws batch 0 and then runs every kernel.  A
-batch's draw is submitted only once the slot it fills is free, so at most
-RING_SLOTS - 1 draws are pending, and outputs are bit-identical to drawing
-one batch after the other.  A one-batch call draws inline with no thread,
-and the executor is shut down before the call returns or raises, so a
-forked child never inherits its thread.
+A call of several batches fills batches 1, 2, ... in order on a one-thread
+executor (one flat draw of normals each, in the public samplers' order,
+which mc_expected_det's fill also places into block matrices) into a ring of
+RING_SLOTS batch buffers that the call owns, while the calling thread fills
+batch 0 and then runs every kernel.  A batch is submitted only once the slot
+it fills is free, so at most RING_SLOTS - 1 fills are pending, and outputs
+are bit-identical to filling one batch after the other.  A one-batch call
+fills inline with no thread, and the executor is shut down before the call
+returns or raises, so a forked child never inherits its thread.
 """
 
 from __future__ import annotations
@@ -83,22 +83,25 @@ def _draw(seed: int, index: int, out: np.ndarray) -> None:
 RING_SLOTS = 3
 
 
-def _batch_normals(cfg: McConfig, per_sample: int):
-    """(count, count * per_sample normals) per batch, valid until the next.
+def _batch_normals(cfg: McConfig, per_sample: int, fill=None):
+    """(count, count * per_sample floats) per batch, valid until the next.
 
-    A call of one batch draws inline.  A longer call draws batch k into
-    slot k % RING_SLOTS of one ring: the calling thread draws batch 0,
-    and a one-thread executor draws batches 1, 2, ... in order.  Batch
-    k + RING_SLOTS is submitted once the caller hands batch k, and so its
-    slot, back, and the caller waits on each later batch's future before
-    yielding it.  Kernels run only on the calling thread, between yields.
-    A draw's error is raised in the caller by its future; returning,
-    closing or an error in the caller cancels the pending draws and joins
-    the executor's thread.
+    fill(k, count, out) writes batch k's floats, by default its normals
+    (`_draw`).  One batch is filled inline; otherwise batch k fills slot
+    k % RING_SLOTS of a ring, batch 0 on the calling thread and 1, 2, ...
+    in order on a one-thread executor, so a fill must call no binding the
+    benchmark's span tracer wraps.  Batch k + RING_SLOTS is submitted once
+    the caller hands batch k back, and later batches are yielded once
+    their futures are done.  Kernels run only on the calling thread.  A
+    fill's error is raised in the caller; returning, closing or an error
+    in the caller cancels the pending fills and joins the executor.
     """
+    if fill is None:
+        def fill(k: int, count: int, out: np.ndarray) -> None:
+            _draw(cfg.seed, k, out)
     if cfg.samples <= BATCH_SIZE:
         normals = np.empty(cfg.samples * per_sample)
-        _draw(cfg.seed, 0, normals)
+        fill(0, cfg.samples, normals)
         yield cfg.samples, normals
         return
     # Not at the top: concurrent.futures imports logging, slowing startup.
@@ -113,12 +116,12 @@ def _batch_normals(cfg: McConfig, per_sample: int):
 
     def draw_ahead(k: int) -> None:
         if k < len(counts):
-            drawn[k] = helper.submit(_draw, cfg.seed, k, slot(k))
+            drawn[k] = helper.submit(fill, k, counts[k], slot(k))
 
     try:
         for k in range(1, RING_SLOTS):
             draw_ahead(k)
-        _draw(cfg.seed, 0, slot(0))
+        fill(0, counts[0], slot(0))
         for k, count in enumerate(counts):
             if k:
                 drawn.pop(k).result()
@@ -232,13 +235,16 @@ def mc_expected_det(problem: MatchingProblem, cfg: McConfig, *,
     written there as CSV.
     """
     m = sum(problem.group_sizes)
-    chunks = []
-    for count, normals in _batch_normals(cfg, m * (m + 1) // 2):
-        mats = place_block_entries(problem.group_sizes, problem.profile,
-                                   normals.reshape(-1, count))
-        # A new (m, m, count) buffer, which is not needed again.
-        chunks.append(_determinants(np.moveaxis(mats, 0, -1)))
-    values = np.concatenate(chunks)
+
+    def place(k: int, count: int, out: np.ndarray) -> None:
+        place_block_entries(problem.group_sizes, problem.profile,
+                            lambda entries: _draw(cfg.seed, k, entries),
+                            out.reshape(m * m, count))
+
+    # Each slot is overwritten by its determinants, and refilled after.
+    values = np.concatenate([
+        _determinants(mats.reshape(m, m, count))
+        for count, mats in _batch_normals(cfg, m * m, place)])
     mean, std_error = _mean_and_error(values)
     hist = _make_histogram(values)
     if output is not None:
@@ -251,8 +257,9 @@ def mc_minor_sum(space: SpaceSpec, i: int, cfg: McConfig) -> McStats:
     _check_index(i, space)
     chunks = []
     for count, normals in _batch_normals(cfg, curved_normal_dim(space)):
-        mats = assemble_normals(space, normals, count)
-        chunks.append(principal_minor_sums_batch(mats, 2 * i))
+        # Unnamed, a batch's operators are freed before the next's exist.
+        chunks.append(principal_minor_sums_batch(
+            assemble_normals(space, normals, count), 2 * i))
     mean, std_error = _mean_and_error(np.concatenate(chunks))
     return McStats(mean, std_error, cfg.samples, cfg.seed)
 

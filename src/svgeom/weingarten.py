@@ -12,7 +12,8 @@ coordinates are unit-variance on the orthonormal split basis, diagonal block
 i is sqrt(2(d_i - 1)/d_i) times a GOE matrix and the off-diagonal blocks are
 standard normal.  Published normalizations of this family disagree with each
 other, so the samplers take an explicit variance profile; the Monte Carlo
-suite adjudicates which profile matches the assembled operator.
+suite adjudicates which profile matches the assembled operator.  Every
+profile leaves degree-one diagonal blocks 0, which the direct sampler skips.
 """
 
 from __future__ import annotations
@@ -139,20 +140,19 @@ def _assembly_plan(space: SpaceSpec):
 
 
 def assemble_batch(space: SpaceSpec, w: Array, g: Array) -> Array:
-    """Shape-operator matrices from batches of W and G coordinates."""
+    """Shape-operator matrices, C-ordered (count, n, n), from batches of W
+    and G coordinates: each coordinate's count values are scattered as one
+    row into both its entries of an (n n, count) buffer, copied once."""
     w = np.atleast_2d(np.asarray(w, dtype=float))
     g = np.atleast_2d(np.asarray(g, dtype=float))
     w_rows, w_cols, w_scales, g_rows, g_cols = _assembly_plan(space)
-    n = space.manifold_dim
-    mats = np.zeros((w.shape[0], n, n))
-    if w_rows.size:
-        scaled = w * w_scales
-        mats[:, w_rows, w_cols] = scaled
-        mats[:, w_cols, w_rows] = scaled
-    if g_rows.size:
-        mats[:, g_rows, g_cols] = g
-        mats[:, g_cols, g_rows] = g
-    return mats
+    n, count = space.manifold_dim, w.shape[0]
+    flat = np.zeros((n * n, count))
+    for rows, cols, coords in ((w_rows, w_cols, (w * w_scales).T),
+                               (g_rows, g_cols, g.T)):
+        flat[rows * n + cols] = coords
+        flat[cols * n + rows] = coords
+    return np.ascontiguousarray(flat.T).reshape(count, n, n)
 
 
 def assemble_weingarten(f: Tensor) -> WeingartenMatrix:
@@ -202,29 +202,33 @@ def gaussian_weingarten_batch(space: SpaceSpec, rng: np.random.Generator,
 
 @lru_cache(maxsize=128)
 def _block_sampling_plan(group_sizes: tuple, profile: VarianceProfile):
-    """Standard deviation of each upper-triangle entry (row-major) of the
-    block matrix, as a column, and the entries' flat positions in the
-    upper and mirrored (lower) triangles of an m x m matrix."""
+    """Standard deviation of each upper-triangle entry of positive variance
+    (row-major), as a column, those entries' flat positions in the upper
+    and mirrored (lower) triangles of an m x m matrix, and the flat
+    positions of the entries of variance 0."""
     group = np.repeat(np.arange(len(group_sizes)), group_sizes)
-    rows, cols = np.triu_indices(group.size)
-    off = np.array([float(v) for v in profile.within_offdiag])[group[rows]]
-    var = np.where(group[rows] != group[cols], 1.0,
-                   np.where(rows == cols, 2.0 * off, off))
-    return (np.sqrt(var)[:, None], rows * group.size + cols,
-            cols * group.size + rows)
+    m = group.size
+    off = np.array([float(v) for v in profile.within_offdiag])[group]
+    var = np.where(group[:, None] != group, 1.0, off * (1.0 + np.eye(m)))
+    upper = np.flatnonzero(np.triu(var) > 0.0)
+    rows, cols = np.divmod(upper, m)
+    return (np.sqrt(var.ravel()[upper])[:, None], upper, cols * m + rows,
+            np.flatnonzero(var == 0.0))
 
 
 def place_block_entries(group_sizes: tuple, profile: VarianceProfile,
-                        entries: Array) -> Array:
-    """(count, m, m) view of a new (m m, count) buffer of block matrices from
-    (m(m+1)/2, count) normals, one row per upper entry, scaled in place."""
-    std, upper, lower = _block_sampling_plan(group_sizes, profile)
-    m, count = sum(group_sizes), entries.shape[1]
+                        draw, out: Array) -> None:
+    """Fill out, an (m m, count) buffer, with block matrices: draw(entries)
+    fills a new (upper entries of positive variance, count) buffer with
+    normals, which are scaled, placed and mirrored; the entries of
+    variance 0 are set to 0."""
+    std, upper, lower, zero = _block_sampling_plan(group_sizes, profile)
+    entries = np.empty((std.shape[0], out.shape[1]))
+    draw(entries)
     entries *= std
-    mats = np.empty((m * m, count))
-    mats[upper] = entries
-    mats[lower] = entries
-    return mats.reshape(m, m, count).transpose(2, 0, 1)
+    out[upper] = entries
+    out[lower] = entries
+    out[zero] = 0.0
 
 
 def sample_block_matrix_batch(group_sizes, profile: VarianceProfile,
@@ -233,16 +237,20 @@ def sample_block_matrix_batch(group_sizes, profile: VarianceProfile,
 
     Diagonal block k has off-diagonal variance within_offdiag[k] and
     diagonal variance twice that; off-diagonal blocks have iid entries of
-    variance one.  One draw of m(m+1)/2 x count normals fills the
-    upper triangles, one row per entry, and is mirrored into the lower
-    ones; the result is a (count, m, m) view of that (m m, count) buffer.
+    variance one.  One draw of count normals per upper entry of positive
+    variance fills those entries, one row per entry, mirrored into the
+    lower ones.  Every profile gives the diagonal blocks of degree-one
+    groups variance 0; their entries are 0 and drawn for no normal.  The
+    result is a (count, m, m) view of an (m m, count) buffer.
     """
     group_sizes = _integers("group sizes", group_sizes)
     if len(group_sizes) != len(profile.within_offdiag):
         raise DomainError("profile and group sizes must have equal length")
     m = sum(group_sizes)
-    entries = rng.standard_normal((m * (m + 1) // 2, count))
-    return place_block_entries(group_sizes, profile, entries)
+    mats = np.empty((m * m, count))
+    place_block_entries(group_sizes, profile,
+                        lambda entries: rng.standard_normal(out=entries), mats)
+    return mats.reshape(m, m, count).transpose(2, 0, 1)
 
 
 def sample_gaussian_weingarten(space: SpaceSpec, seed: int,

@@ -720,10 +720,8 @@ def test_concurrent_calls_under_fast_switching_keep_their_streams(
     assert wrong == []
 
 
-def test_every_kernel_runs_on_the_calling_thread(monkeypatch):
-    # The helper thread only draws normals.  The benchmark's span
-    # tracer keeps one stack per process and wraps these bindings, so a
-    # kernel on another thread would corrupt its spans.
+def _spy_threads(monkeypatch, bindings):
+    """Record, per binding name, the thread of every call."""
     idents = {}
 
     def spy(module, name):
@@ -735,10 +733,19 @@ def test_every_kernel_runs_on_the_calling_thread(monkeypatch):
 
         monkeypatch.setattr(module, name, recorded)
 
-    spy(weingarten, "assemble_batch")
-    spy(montecarlo, "_determinants")
-    spy(montecarlo, "principal_minor_sums_batch")
-    spy(montecarlo, "max_correlation_batch")
+    for module, name in bindings:
+        spy(module, name)
+    return idents
+
+
+def test_every_kernel_runs_on_the_calling_thread(monkeypatch):
+    # The executor only fills batches: it draws normals and, for
+    # mc_expected_det, places them into block matrices.  Every kernel
+    # runs on the calling thread.
+    idents = _spy_threads(monkeypatch, [
+        (weingarten, "assemble_batch"), (montecarlo, "_determinants"),
+        (montecarlo, "principal_minor_sums_batch"),
+        (montecarlo, "max_correlation_batch")])
     _all_estimators(2 * BATCH_SIZE + 1)
     assert sorted(idents) == ["_determinants", "assemble_batch",
                               "max_correlation_batch",
@@ -746,6 +753,19 @@ def test_every_kernel_runs_on_the_calling_thread(monkeypatch):
     for calls in idents.values():
         assert len(calls) == 3       # one per batch
         assert set(calls) == {threading.get_ident()}
+
+
+def test_no_traced_sampler_runs_off_the_calling_thread(monkeypatch):
+    # The benchmark's span tracer keeps one span stack per process and
+    # wraps these bindings, so a fill that called one of them on the
+    # executor would corrupt its spans.
+    idents = _spy_threads(monkeypatch, [
+        (module, name) for module in (weingarten, montecarlo)
+        for name in ("sample_block_matrix_batch", "gaussian_weingarten_batch",
+                     "assemble_batch") if hasattr(module, name)])
+    _all_estimators(2 * BATCH_SIZE + 1)
+    assert list(idents) == ["assemble_batch"]
+    assert set(idents["assemble_batch"]) == {threading.get_ident()}
 
 
 def test_montecarlo_keeps_the_bindings_the_span_tracer_wraps():

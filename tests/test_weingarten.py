@@ -8,7 +8,11 @@ from svgeom import DomainError, SpaceSpec, variance_profile
 from svgeom.bw_algebra import Tensor, gaussian_tensor
 from svgeom.manifold import normal_split
 from svgeom.weingarten import (
+    _assembly_plan,
+    assemble_batch,
+    assemble_normals,
     assemble_weingarten,
+    curved_normal_dim,
     gaussian_weingarten_batch,
     principal_minor_sums_batch,
     sample_block_matrix_batch,
@@ -235,6 +239,102 @@ def test_direct_sampler_draws_only_the_upper_triangle():
     expected = np.random.default_rng(7)
     expected.standard_normal(300 * 5 * 6 // 2)
     assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def _drawn_upper_entries(sizes, profile):
+    """(row, col, standard deviation) of every upper entry of positive
+    variance, row-major, from the profile's definition."""
+    group = [k for k, size in enumerate(sizes) for _ in range(size)]
+    out = []
+    for i in range(len(group)):
+        for j in range(i, len(group)):
+            if group[i] != group[j]:
+                var = 1.0
+            else:
+                var = float(profile.within_offdiag[group[i]]) * (
+                    2.0 if i == j else 1.0)
+            if var > 0.0:
+                out.append((i, j, math.sqrt(var)))
+    return out
+
+
+@pytest.mark.parametrize("sizes,degrees,name,drawn", [
+    ((2, 2, 1, 1), (1, 1, 1, 1), "def-d", 13),
+    ((2, 2, 1, 1), (1, 1, 1, 1), "weingarten", 13),
+    ((2, 2, 1, 1), (1, 1, 1, 1), "corollary", 13),
+    ((3, 3), (2, 1), "def-d", 15)])
+def test_direct_sampler_draws_exactly_the_positive_variance_entries(
+        sizes, degrees, name, drawn):
+    # Every profile gives the diagonal blocks of degree-one groups variance
+    # 0: those entries are exactly 0.0 and take no normal, and each drawn
+    # entry is its standard deviation times the next normal of one flat
+    # draw of drawn x count, one row per entry.
+    profile = variance_profile(name, degrees)
+    count = 300
+    rng = np.random.default_rng(8)
+    mats = sample_block_matrix_batch(sizes, profile, rng, count)
+    entries = _drawn_upper_entries(sizes, profile)
+    assert len(entries) == drawn
+    reference = np.random.default_rng(8)
+    normals = reference.standard_normal((drawn, count))
+    assert rng.standard_normal(5).tolist() == \
+        reference.standard_normal(5).tolist()
+    want = np.zeros_like(mats)
+    for (i, j, std), row in zip(entries, normals):
+        want[:, i, j] = want[:, j, i] = std * row
+    assert want.tobytes() == np.ascontiguousarray(mats).tobytes()
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    for k, degree in enumerate(degrees):
+        block = mats[:, group == k][:, :, group == k]
+        if degree == 1:
+            assert np.all(block == 0.0)
+        else:                          # the degree-2 block's diagonal too
+            assert np.all(np.diagonal(block, axis1=1, axis2=2) != 0.0)
+
+
+def _fancy_index_assembly(space, w, g):
+    """The (count, row, col) fancy-index scatter that assemble_batch
+    replaced, kept as its reference."""
+    w_rows, w_cols, w_scales, g_rows, g_cols = _assembly_plan(space)
+    n = space.manifold_dim
+    mats = np.zeros((w.shape[0], n, n))
+    if w_rows.size:
+        scaled = w * w_scales
+        mats[:, w_rows, w_cols] = scaled
+        mats[:, w_cols, w_rows] = scaled
+    if g_rows.size:
+        mats[:, g_rows, g_cols] = g
+        mats[:, g_cols, g_rows] = g
+    return mats
+
+
+# Every space tests/test_montecarlo.py and this file assemble.
+ASSEMBLED_SPACES = (
+    ((1,), (3,)), ((1,), (2,)), ((2,), (3,)), ((2,), (1,)), ((1, 1), (2, 2)),
+    ((2, 2, 1, 1), (1, 1, 1, 1)), ((2, 1), (3, 2)), ((1, 1), (2, 1)),
+    ((2,), (2,)), ((2, 2), (1, 1)), ((2, 1), (2, 1)), ((2, 1), (1, 3)),
+    ((3, 3), (2, 2)))
+
+
+@pytest.mark.parametrize("dims,degrees", ASSEMBLED_SPACES)
+@pytest.mark.parametrize("count", [1, 7, 8192])
+def test_assemble_batch_equals_the_fancy_index_scatter_bit_for_bit(
+        dims, degrees, count):
+    space = SpaceSpec(dims, degrees)
+    normals = np.random.default_rng(count).standard_normal(
+        count * curved_normal_dim(space))
+    cut = count * _assembly_plan(space)[0].size
+    w, g = normals[:cut].reshape(count, -1), normals[cut:].reshape(count, -1)
+    got = assemble_batch(space, w, g)
+    want = _fancy_index_assembly(space, w, g)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert assemble_normals(space, normals, count).tobytes() == \
+        want.tobytes()
+    # Minor sums see the same C-ordered batch, so they agree bit for bit.
+    k = min(2, space.manifold_dim)
+    assert principal_minor_sums_batch(got, k).tobytes() == \
+        principal_minor_sums_batch(want, k).tobytes()
 
 
 # ---------------------------------------------------------------------------
