@@ -2,7 +2,7 @@
 """Compare two checkouts on every benchmark workload and write BENCH_<n>.json.
 
     python3 scripts/bench.py --before ../parent --after . --out BENCH_32.json \
-        --pairs 4 --seed 11 --seconds 20
+        --seed 11 --seconds 20
 
 Runs `perfbench/run.py --trace 0` of each checkout, from its own root, for
 every workload, in alternating pairs: pair i uses seed --seed + i for both
@@ -11,6 +11,9 @@ drift of the machine does not favour one side.  The file holds, per
 workload and metric, each side's runs, median and quartiles, and the number
 of pairs in which the after run was lower; per checkout, its commit and the
 line count of src/svgeom.  mc_samples_per_s is read from the run's report.
+A checkout's commit is recorded only when the checkout is the root of its
+own git work tree (a clone, say), and is null otherwise: a `git archive`
+copy unpacked inside another work tree would report that tree's HEAD.
 Standard library only.
 """
 
@@ -28,6 +31,7 @@ from pathlib import Path
 WORKLOADS = ("exact-tube", "mc-vectorized", "mc-generic", "cli-queries")
 SIDES = ("before", "after")
 RATE = re.compile(r"^# mc_samples_per_s (\S+) 1/s$", re.MULTILINE)
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int,
@@ -58,9 +62,12 @@ def src_lines(checkout: Path) -> int:
 
 
 def commit(checkout: Path) -> str | None:
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
-    return done.stdout.strip() or None
+    done = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"],
+                          cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.split()
+    if done.returncode or len(lines) != 2 or Path(lines[0]) != checkout:
+        return None
+    return lines[1]
 
 
 def compare(runs: dict) -> dict:
@@ -80,10 +87,9 @@ def main(argv=None) -> int:
     parser.add_argument("--before", type=Path, required=True)
     parser.add_argument("--after", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=4)
+    parser.add_argument("--pairs", type=int, default=PAIRS)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args(argv)
     checkouts = {"before": args.before.resolve(),
                  "after": args.after.resolve()}
@@ -99,7 +105,7 @@ def main(argv=None) -> int:
                       for side, path in checkouts.items()},
         "workloads": {},
     }
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         runs = {side: [] for side in SIDES}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
