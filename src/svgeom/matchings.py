@@ -183,6 +183,18 @@ def expected_det_isserlis(p: MatchingProblem) -> Fraction:
 # expected principal-minor sums
 # ---------------------------------------------------------------------------
 
+def _minor_order(i, space: SpaceSpec) -> int:
+    """The order i of 2i x 2i minors as an int, if 0 <= 2i <= n; `_integers`
+    decides what counts as an integer.  Runs once per order of every tube
+    call, so a plain int skips it."""
+    if type(i) is not int:
+        (i,) = _integers("minor order", (i,))
+    if not 0 <= 2 * i <= space.manifold_dim:
+        raise DomainError(f"minor order {i} out of range for dimension "
+                          f"{space.manifold_dim}")
+    return i
+
+
 def expected_minor_sum_exact(space: SpaceSpec, i: int,
                              profile: VarianceProfile | None = None,
                              mode: str = "corrected") -> Fraction:
@@ -199,9 +211,7 @@ def expected_minor_sum_exact(space: SpaceSpec, i: int,
     """
     if mode not in MINOR_MODES:
         raise DomainError(f"mode must be one of {MINOR_MODES}")
-    n = space.manifold_dim
-    if not 0 <= 2 * i <= n:
-        raise DomainError(f"minor index {i} out of range for dimension {n}")
+    i = _minor_order(i, space)
     profile = profile or variance_profile(DEFAULT_PROFILE, space.degrees)
     if len(profile.within_offdiag) != space.r:
         raise DomainError("profile length does not match the degrees")

@@ -36,8 +36,8 @@ from .manifold import (
     _quadratic_forms,
     max_correlation_batch,
 )
-from .matchings import MatchingProblem
-from .tube import _check_index, _check_radius, sphere_volume
+from .matchings import MatchingProblem, _minor_order
+from .tube import _check_radius, sphere_volume
 from .weingarten import (assemble_normals, curved_normal_dim,
                          place_block_entries, principal_minor_sums_batch)
 # Not called here: perfbench/tracer.py wraps these two bindings.
@@ -254,7 +254,7 @@ def mc_expected_det(problem: MatchingProblem, cfg: McConfig, *,
 
 def mc_minor_sum(space: SpaceSpec, i: int, cfg: McConfig) -> McStats:
     """Average sum of 2i x 2i principal minors of sampled shape operators."""
-    _check_index(i, space)
+    i = _minor_order(i, space)
     chunks = []
     for count, normals in _batch_normals(cfg, curved_normal_dim(space)):
         # Unnamed, a batch's operators are freed before the next's exist.

@@ -6,15 +6,15 @@ coefficients (Weyl's tube formula): manifold volume times the volume of the
 normal sphere times sum_i a_i * J_i(eps).  Only the J_i depend on eps.  The
 coefficients a_i, the expected 2i-minor sums of the shape operator over the
 chi-square moments, depend on the space, the variance profile and the minor
-mode alone; each order is computed once per such triple and process and
-kept in a memo of at most 1024 entries (`_tube_coefficient`).  Everything
-else in the formula that does not depend on eps is kept beside them, in one
-plan per triple (`_tube_plan`, at most 256): the tuple a_0 .. a_{n // 2},
-the log of the prefactor, and the reach radius that sets `validity`.  A
-call to `tube_volume` makes one plan lookup, so a repeated call on the same
-space, profile and minor mode, at any radius or exponent convention,
-evaluates only the radial integrals.  Named profiles are interned by
-`variance_profile`, so the lookup usually compares them by identity.
+mode alone.  `tube_coefficient` computes one order on every call.
+Everything in the formula that does not depend on eps is kept in one plan
+per such triple and process (`_tube_plan`, at most 256): the tuple
+a_0 .. a_{n // 2}, the log of the prefactor, and the reach radius that sets
+`validity`.  A call to `tube_volume` makes one plan lookup, so a repeated
+call on the same space, profile and minor mode, at any radius or exponent
+convention, evaluates only the radial integrals.  Named profiles are
+interned by `variance_profile`, so the lookup usually compares them by
+identity.
 
 The radial integrals J_i = B_x(p_i, q_i) / 2, with x = sin^2 eps, are
 incomplete betas whose neighbouring orders differ by p -> p - 1,
@@ -37,6 +37,7 @@ the default edge-weight profile.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -46,7 +47,7 @@ import numpy as np
 from .bw_algebra import SpaceSpec
 from .errors import DomainError
 from .geodesics_reach import reach
-from .matchings import expected_minor_sum_exact
+from .matchings import _minor_order, expected_minor_sum_exact
 from .weingarten import DEFAULT_PROFILE, VarianceProfile, variance_profile
 
 EXPONENT_CONVENTIONS = ("corrected", "paper")
@@ -116,9 +117,9 @@ def _sine_exponent(i: int, space: SpaceSpec, convention: str) -> int:
 def radial_integral_quadrature(i: int, space: SpaceSpec, eps: float,
                                convention: str = "corrected") -> float:
     """Adaptive Simpson evaluation of the radial kernel integral."""
+    i = _minor_order(i, space)
     a = _sine_exponent(i, space, convention)
     b = space.manifold_dim - 2 * i
-    _check_index(i, space)
     _check_radius(eps)
 
     def kernel(phi):
@@ -243,17 +244,17 @@ def radial_integral(i: int, space: SpaceSpec, eps: float,
     beyond 1e-10 raises, since it would indicate a broken kernel.  The gap
     is absolute, so it only guards terms of order one.
     """
-    _check_index(i, space)
+    i = _minor_order(i, space)
     return _cross_checked(radial_integrals(space, eps, convention)[i],
                           i, space, eps, convention)
 
 
-def _check_index(i: int, space: SpaceSpec) -> None:
-    if not 0 <= 2 * i <= space.manifold_dim:
-        raise DomainError(f"index {i} out of range for this space")
-
-
 def _check_radius(eps: float) -> None:
+    # A bool is an int to Python, and numpy's bool is no number at all.
+    # Plain floats, the common case, skip the slower ABC check.
+    if type(eps) is not float and (isinstance(eps, bool)
+                                   or not isinstance(eps, numbers.Real)):
+        raise DomainError(f"radius must be a real number, not {eps!r}")
     # Written as not (0 < eps <= pi/2), which fails on NaN as well.
     if not 0.0 < eps <= math.pi / 2.0:
         raise DomainError("radius must lie in (0, pi/2]")
@@ -269,26 +270,14 @@ def chi2_moment(i: int, c: int) -> float:
     return float(out)
 
 
-@lru_cache(maxsize=1024)
-def _tube_coefficient(space: SpaceSpec, profile: VarianceProfile,
-                      minor_mode: str, i: int) -> float:
-    """a_i, the eps-free half of Weyl's formula, kept per order.
-
-    Takes the resolved profile, so that None and the default share one
-    entry.  An order that raises (an unknown mode, past the matching cap)
-    is not cached.
-    """
-    ems = expected_minor_sum_exact(space, i, profile, minor_mode)
-    return float(ems) / chi2_moment(i, space.normal_dim)
-
-
 def tube_coefficient(i: int, space: SpaceSpec,
                      profile: VarianceProfile | None = None,
                      minor_mode: str = "corrected") -> float:
-    """Normalized curvature coefficient: expected minor sum over the moment."""
-    _check_index(i, space)
-    profile = profile or variance_profile(DEFAULT_PROFILE, space.degrees)
-    return _tube_coefficient(space, profile, minor_mode, i)
+    """a_i, the eps-free half of Weyl's formula: the expected 2i-minor sum
+    over the i-th chi-square moment.  Computed on every call."""
+    i = _minor_order(i, space)
+    ems = expected_minor_sum_exact(space, i, profile, minor_mode)
+    return float(ems) / chi2_moment(i, space.normal_dim)
 
 
 class _TubePlan(NamedTuple):
@@ -304,11 +293,11 @@ def _tube_plan(space: SpaceSpec, profile: VarianceProfile,
     resolved profile; keyed without the exponent convention, which only
     the radial integrals read.
 
-    The coefficients come from the per-order memo.  A plan that raises
-    (an unknown mode, an order past the matching cap) is not cached; the
-    orders computed before the failing one stay in that memo.
+    The only memo of the coefficients.  A plan that raises (an unknown
+    mode, an order past the matching cap) is not cached, and none of its
+    orders is kept.
     """
-    coefficients = tuple(_tube_coefficient(space, profile, minor_mode, i)
+    coefficients = tuple(tube_coefficient(i, space, profile, minor_mode)
                          for i in range(space.manifold_dim // 2 + 1))
     log_prefactor = (_log_manifold_volume(space)
                      + _log_sphere_volume(space.normal_dim - 1))

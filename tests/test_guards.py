@@ -12,7 +12,9 @@ from svgeom.manifold import (
     normal_split,
     project_components,
 )
-from svgeom.tube import chi2_moment
+from svgeom.matchings import expected_minor_sum_exact
+from svgeom.montecarlo import McConfig, mc_minor_sum, mc_tube_volume
+from svgeom.tube import chi2_moment, radial_integral, radial_integrals, tube_coefficient
 from svgeom.weingarten import (
     WeingartenMatrix,
     principal_minor_sums_batch,
@@ -24,6 +26,8 @@ from svgeom.weingarten import (
 QUADRATIC = SpaceSpec((1,), (2,))
 CUBIC = SpaceSpec((1,), (3,))
 E0 = Tensor(QUADRATIC, [1.0, 0.0, 0.0])
+SEGRE = SpaceSpec((2, 2), (1, 1))
+ONE_SAMPLE = McConfig(1)
 
 # name: (call, a pattern of the guard's message, so that no other guard
 # on the way can stand in for it)
@@ -83,6 +87,32 @@ _GUARDS = {
         "different space"),
 }
 
+# A bool or a non-integer as the order i of 2i x 2i minors, to every caller
+# of the one order check; numpy integers and 1.0 are accepted (test_tube).
+_ORDER_CALLS = {
+    "expected_minor_sum_exact corrected":
+        lambda i: expected_minor_sum_exact(SEGRE, i, mode="corrected"),
+    "expected_minor_sum_exact paper":
+        lambda i: expected_minor_sum_exact(SEGRE, i, mode="paper"),
+    "tube_coefficient": lambda i: tube_coefficient(i, SEGRE),
+    "radial_integral": lambda i: radial_integral(i, SEGRE, 0.3),
+    "mc_minor_sum": lambda i: mc_minor_sum(SEGRE, i, ONE_SAMPLE),
+}
+# A bool, numpy's too, or a string as the radius of a tube.
+_RADIUS_CALLS = {
+    "tube_volume": lambda eps: tube_volume(QUADRATIC, eps),
+    "radial_integrals": lambda eps: radial_integrals(QUADRATIC, eps),
+    "mc_tube_volume": lambda eps: mc_tube_volume(QUADRATIC, eps, ONE_SAMPLE),
+}
+for _name, _call in _ORDER_CALLS.items():
+    for _bad in (True, 1.5, "1"):
+        _GUARDS[f"{_name} order {_bad!r}"] = (
+            lambda call=_call, bad=_bad: call(bad), "minor order must be integers")
+for _name, _call in _RADIUS_CALLS.items():
+    for _bad in (True, np.True_, "0.3"):
+        _GUARDS[f"{_name} radius {_bad!r}"] = (
+            lambda call=_call, bad=_bad: call(bad), "radius must be a real number")
+
 
 @pytest.mark.parametrize("name", sorted(_GUARDS))
 def test_input_guard_raises(name):
@@ -97,3 +127,9 @@ def test_numpy_integer_dims_and_degrees_are_accepted():
     assert all(type(v) is int for v in space.dims + space.degrees)
     assert variance_profile("def-d", np.array([2, 1])) is \
         variance_profile("def-d", (2, 1))
+
+
+def test_numpy_real_radii_are_accepted():
+    want = tube_volume(QUADRATIC, 0.25).volume
+    for eps in (np.float64(0.25), np.float32(0.25)):
+        assert tube_volume(QUADRATIC, eps).volume == pytest.approx(want, rel=1e-7)

@@ -307,8 +307,16 @@ def test_tube_coefficient_index_checks():
             tube_coefficient(i, space)
 
 
+def test_an_integral_float_order_is_that_integer_whichever_runs_first():
+    space = SpaceSpec((2, 2), (1, 1))
+    for orders in ((1.0, 1), (1, 1.0), (np.int64(1), 1)):
+        tube_module._tube_plan.cache_clear()
+        got = [tube_coefficient(i, space).hex() for i in orders]
+        assert got[0] == got[1] == (-1.0).hex()
+
+
 # ---------------------------------------------------------------------------
-# coefficient memo
+# coefficient memo: one plan per (space, profile, minor mode)
 # ---------------------------------------------------------------------------
 
 MEMO_SPACES = [((1,), (2,)), ((2,), (3,)), ((8,), (2,)), ((1, 1), (1, 2)),
@@ -330,15 +338,6 @@ def minor_sum_calls(monkeypatch):
     return calls
 
 
-def memo_size():
-    return tube_module._tube_coefficient.cache_info().currsize
-
-
-def coefficient_calls():
-    info = tube_module._tube_coefficient.cache_info()
-    return info.hits + info.misses
-
-
 def plan_info():
     return tube_module._tube_plan.cache_info()
 
@@ -352,8 +351,7 @@ def test_coefficient_memo_is_bit_identical(dims, degrees):
         want = [float(expected_minor_sum_exact(space, i, profile, mode))
                 / chi2_moment(i, c)
                 for i in range(space.manifold_dim // 2 + 1)]
-        got = [tube_module._tube_coefficient(space, profile, mode, i)
-               for i in range(len(want))]
+        got = tube_module._tube_plan(space, profile, mode).coefficients
         assert [a.hex() for a in got] == [a.hex() for a in want]
         assert [tube_coefficient(i, space, profile, mode).hex()
                 for i in range(len(want))] == [a.hex() for a in want]
@@ -375,7 +373,7 @@ def test_coefficient_memo_serves_a_sweep_over_radii(minor_sum_calls):
     minor_sum_calls.clear()
     tube_volume(space, 0.4, minor_mode="paper", profile=weingarten)
     assert len(minor_sum_calls) == orders
-    assert memo_size() == 3 * orders
+    assert plan_info().currsize == 3
 
 
 def test_default_profile_shares_one_memo_entry():
@@ -384,7 +382,7 @@ def test_default_profile_shares_one_memo_entry():
     explicit = tube_volume(space, 0.3, profile=variance_profile(
         DEFAULT_PROFILE, space.degrees))
     assert implicit.to_json_dict() == explicit.to_json_dict()
-    assert memo_size() == len(implicit.terms)
+    assert plan_info().misses == 1
     assert plan_info().currsize == 1
 
 
@@ -400,19 +398,20 @@ def test_equal_spaces_and_profiles_share_memo_entries():
     again = volume([2, 1], [2.0, 2])
     assert again.to_json_dict() == first.to_json_dict()
     assert plan_info().hits == hits + 1
+    assert plan_info().misses == 1
     assert plan_info().currsize == 1
-    assert memo_size() == len(first.terms)
 
 
-def test_a_sweep_over_radii_and_conventions_builds_one_plan():
+def test_a_sweep_over_radii_and_conventions_builds_one_plan(
+        minor_sum_calls):
     space = SpaceSpec((3, 2), (2, 1))
     profile = variance_profile("weingarten", space.degrees)
     tube_volume(space, 0.1, profile=profile)
-    calls = coefficient_calls()
+    minor_sum_calls.clear()
     for eps in (0.05, 0.3, 0.6, math.pi / 2):
         for convention in EXPONENT_CONVENTIONS:
             tube_volume(space, eps, convention, profile=profile)
-    assert coefficient_calls() == calls
+    assert minor_sum_calls == []
     assert plan_info().misses == 1
     assert plan_info().currsize == 1
 
@@ -464,21 +463,22 @@ def test_invalid_arguments_raise_before_coefficient_work(minor_sum_calls,
     with pytest.raises(DomainError):
         tube_volume(space, **kwargs)
     assert minor_sum_calls == []
-    assert memo_size() == 0
+    assert plan_info().misses == 0
 
 
 def test_orders_past_the_matching_cap_are_not_cached(minor_sum_calls):
     # Order 13 needs 26 matching vertices, past the cap; orders 0..12 fit.
+    # A failing plan keeps none of them, so every call redoes all 14.
     space = SpaceSpec((13, 13), (1, 1))
+    for _ in range(2):
+        minor_sum_calls.clear()
+        with pytest.raises(ResourceError):
+            tube_volume(space, 0.1)
+        assert len(minor_sum_calls) == 14
+        assert plan_info().currsize == 0
     with pytest.raises(ResourceError):
-        tube_volume(space, 0.1)
-    assert len(minor_sum_calls) == 14
-    assert memo_size() == 13
-    minor_sum_calls.clear()
-    with pytest.raises(ResourceError):
-        tube_volume(space, 0.1)
-    assert len(minor_sum_calls) == 1
-    assert memo_size() == 13
+        tube_coefficient(13, space)
+    assert plan_info().currsize == 0
 
 
 def test_low_orders_of_a_large_space_stay_reachable():
@@ -487,7 +487,7 @@ def test_low_orders_of_a_large_space_stay_reachable():
     want = (float(expected_minor_sum_exact(space, 1, profile, "corrected"))
             / chi2_moment(1, space.normal_dim))
     assert tube_coefficient(1, space).hex() == want.hex()
-    assert memo_size() == 1
+    assert plan_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
