@@ -24,8 +24,8 @@ def main() -> None:
     args = parser.parse_args()
 
     problem = MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1))
-    stats = mc_expected_det(problem, McConfig(args.samples, args.seed),
-                            output=args.out)
+    stats = mc_expected_det(problem, McConfig(args.samples, args.seed))
+    stats.histogram.to_csv(args.out)
     exact = matching_determinant(problem)
     print(f"samples            {stats.samples}")
     print(f"empirical mean     {stats.mean:.4f}  (std error {stats.std_error:.4f})")

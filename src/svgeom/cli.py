@@ -1,12 +1,12 @@
 """Command-line interface: every computation behind one subcommand.
 
 Each invocation prints a single JSON document on stdout (logs go to stderr)
-and exits 0 on success, 1 on usage errors, 2 on domain errors, and 3 when a
-resource guard trips.  The JSON always echoes the resolved configuration so
-runs are reproducible, and it is strict (RFC 8259): no NaN or Infinity, so
-the infinite standard error of a one-sample mc-det prints as null.  Only
-the sampling subcommands (weingarten, mc-det, mc-tube) take a seed: 42 by
-default, set by --seed.
+and exits 0 on success, 1 on usage errors, an unwritable --csv or --json
+path among them, 2 on domain errors, and 3 when a resource guard trips.
+The JSON always echoes the resolved configuration so runs are reproducible,
+and it is strict (RFC 8259): no NaN or Infinity, so the infinite standard
+error of a one-sample mc-det prints as null.  Only the sampling subcommands
+(weingarten, mc-det, mc-tube) take a seed: 42 by default, set by --seed.
 
 Each subcommand is one entry of `SUBCOMMANDS` (help text, handler, options),
 the only place to add a subcommand or an option: the parser, the config echo
@@ -80,9 +80,10 @@ def _profile(args):
     return variance_profile(args.profile, args.degrees)
 
 
-# A handler takes the parsed namespace and returns the document after its
-# "config", which is read from the namespace once the handler returns: an
-# option the handler resolves in place echoes the value it used.
+# A handler takes the parsed namespace, writes any --csv with its result's
+# own writer (mc-det: `stats.histogram.to_csv`), and returns the document
+# after its "config", which is read from the namespace once the handler
+# returns: an option the handler resolves in place echoes the value it used.
 
 def _reach(args) -> dict:
     return asdict(reach(_space(args)))
@@ -136,8 +137,9 @@ def _tube(args) -> dict:
 
 def _mc_det(args) -> dict:
     problem = MatchingProblem(args.dims, args.degrees, _profile(args))
-    stats = mc_expected_det(problem, McConfig(args.samples, args.seed),
-                            output=args.csv)
+    stats = mc_expected_det(problem, McConfig(args.samples, args.seed))
+    if args.csv:
+        stats.histogram.to_csv(args.csv)
     # One sample has an infinite standard error, which JSON cannot hold.
     std_error = stats.std_error if math.isfinite(stats.std_error) else None
     return {"mean": stats.mean, "std_error": std_error,
@@ -221,7 +223,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         body = SUBCOMMANDS[args.subcommand].handler(args)
-    except argparse.ArgumentError as exc:
+        config = {key: value for key, value in vars(args).items()
+                  if key not in ("subcommand", "json", "csv")}
+        text = json.dumps({"config": config, **body}, indent=2, allow_nan=False)
+        if args.json:
+            with open(args.json, "w") as fh:
+                fh.write(text + "\n")
+    except (argparse.ArgumentError, OSError) as exc:
         print(f"svgeom {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
@@ -230,13 +238,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    config = {key: value for key, value in vars(args).items()
-              if key not in ("subcommand", "json", "csv")}
-    text = json.dumps({"config": config, **body}, indent=2, allow_nan=False)
     print(text)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
     return 0 if body.get("all_passed", True) else 1
 
 

@@ -9,22 +9,19 @@ over the batch, and tube hits by tests that are homogeneous in the row, so
 Gaussian rows are never normalized.
 
 A call of several batches fills batches 1, 2, ... in order on a one-thread
-executor (one flat draw of normals each, in the public samplers' order,
-which mc_expected_det's fill also places into block matrices) into a ring of
-RING_SLOTS batch buffers that the call owns, while the calling thread fills
-batch 0 and then runs every kernel.  A batch is submitted only once the slot
-it fills is free, so at most RING_SLOTS - 1 fills are pending, and outputs
-are bit-identical to filling one batch after the other.  A one-batch call
-fills inline with no thread, and the executor is shut down before the call
-returns or raises, so a forked child never inherits its thread.
+executor, ahead of the calling thread, which fills batch 0 and runs every
+kernel (`_batch_normals`); outputs are bit-identical to filling one batch
+after the other.  No estimator writes a file: mc_expected_det keeps its
+determinants (8 bytes a sample), which `McStats.histogram` bins on first
+read, and a caller writes the CSV with `stats.histogram.to_csv(path)`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,11 +134,10 @@ class Histogram:
     counts: np.ndarray
 
     def to_csv(self, path) -> None:
+        rows = zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts)
         with open(path, "w") as fh:
-            fh.write("bin_left,bin_right,count\n")
-            for left, right, count in zip(self.bin_edges[:-1],
-                                          self.bin_edges[1:], self.counts):
-                fh.write(f"{float(left)!r},{float(right)!r},{int(count)}\n")
+            fh.write("bin_left,bin_right,count\n" + "".join(
+                f"{float(a)!r},{float(b)!r},{int(c)}\n" for a, b, c in rows))
 
 
 _TAILS = np.array([0.0005, 0.9995])
@@ -181,11 +177,19 @@ def _make_histogram(values: np.ndarray) -> Histogram:
 
 @dataclass(frozen=True, eq=False)
 class McStats:
+    """Mean and standard error; `histogram` bins mc_expected_det's kept
+    determinants on first read (cached in a frozen, slotless instance)."""
+
     mean: float
     std_error: float
     samples: int
     seed: int
-    histogram: Histogram | None = None
+    determinants: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def histogram(self) -> Histogram | None:
+        values = self.determinants
+        return None if values is None else _make_histogram(values)
 
 
 def _mean_and_error(values: np.ndarray) -> tuple[float, float]:
@@ -226,14 +230,9 @@ def _determinants(a: np.ndarray) -> np.ndarray:
     return det
 
 
-def mc_expected_det(problem: MatchingProblem, cfg: McConfig, *,
-                    output: Path | str | None = None) -> McStats:
-    """Sample determinants of the block matrix and report their statistics.
-
-    The mean estimates the signed weighted matching sum; a 100-bin histogram
-    of the empirical distribution is attached and, given an output path,
-    written there as CSV.
-    """
+def mc_expected_det(problem: MatchingProblem, cfg: McConfig) -> McStats:
+    """Sample determinants of the block matrix; their mean estimates the
+    signed weighted matching sum, and `McStats.histogram` bins them."""
     m = sum(problem.group_sizes)
 
     def place(k: int, count: int, out: np.ndarray) -> None:
@@ -246,10 +245,7 @@ def mc_expected_det(problem: MatchingProblem, cfg: McConfig, *,
         _determinants(mats.reshape(m, m, count))
         for count, mats in _batch_normals(cfg, m * m, place)])
     mean, std_error = _mean_and_error(values)
-    hist = _make_histogram(values)
-    if output is not None:
-        hist.to_csv(output)
-    return McStats(mean, std_error, cfg.samples, cfg.seed, hist)
+    return McStats(mean, std_error, cfg.samples, cfg.seed, values)
 
 
 def mc_minor_sum(space: SpaceSpec, i: int, cfg: McConfig) -> McStats:

@@ -196,7 +196,8 @@ def criterion_figure(full: bool = True) -> tuple[bool, str]:
     problem = MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "det_histogram.csv")
-        stats = mc_expected_det(problem, McConfig(samples, seed=42), output=path)
+        stats = mc_expected_det(problem, McConfig(samples, seed=42))
+        stats.histogram.to_csv(path)
         csv_ok = os.path.getsize(path) > 0
     err = abs(stats.mean + 10.0)
     ok = csv_ok and err <= 3.0 * stats.std_error

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bw_algebra import SpaceSpec
+from .bw_algebra import SpaceSpec, _integers
 from .errors import DomainError
 from .geodesics_reach import reach
 from .matchings import _minor_order, expected_minor_sum_exact
@@ -55,6 +55,8 @@ EXPONENT_CONVENTIONS = ("corrected", "paper")
 
 def _log_sphere_volume(k: int) -> float:
     """log of `sphere_volume(k)`, finite where the volume underflows."""
+    if type(k) is not int:
+        (k,) = _integers("sphere dimension", (k,))
     if k < 0:
         raise DomainError("sphere dimension must be nonnegative")
     half = (k + 1) / 2.0
@@ -262,12 +264,11 @@ def _check_radius(eps: float) -> None:
 
 def chi2_moment(i: int, c: int) -> float:
     """i-th moment of a chi-square with c degrees of freedom."""
+    if type(i) is not int or type(c) is not int:
+        i, c = _integers("moment arguments", (i, c))
     if i < 0 or c < 1:
         raise DomainError("invalid moment arguments")
-    out = 1
-    for j in range(i):
-        out *= c + 2 * j
-    return float(out)
+    return float(math.prod(range(c, c + 2 * i, 2)))
 
 
 def tube_coefficient(i: int, space: SpaceSpec,

@@ -296,6 +296,36 @@ def test_json_file_output(capsys, tmp_path):
     assert json.loads(path.read_text()) == doc
 
 
+@pytest.mark.parametrize("argv", [
+    ("tube", "--dims", "2", "--degrees", "2", "--epsilon", "0.3", "--csv"),
+    ("mc-det", "--dims", "1,1", "--degrees", "1,1", "--samples", "100",
+     "--csv"),
+    ("weingarten", "--dims", "2", "--degrees", "2", "--csv"),
+    ("reach", "--dims", "1", "--degrees", "2", "--json")],
+    ids=["tube-csv", "mc-det-csv", "weingarten-csv", "reach-json"])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out"
+    code, doc, err = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert doc is None
+    assert err.count("\n") == 1
+    assert err.startswith(f"svgeom {argv[0]}: error: ")
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+def test_mc_det_csv_equals_the_histogram_writer(capsys, tmp_path):
+    argv = ["mc-det", "--dims", "2,2,1,1", "--degrees", "1,1,1,1",
+            "--samples", "2000", "--seed", "5"]
+    code, _, _ = run_cli(capsys, *argv, "--csv", str(tmp_path / "cli.csv"))
+    assert code == 0
+    p = svgeom.MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1))
+    svgeom.mc_expected_det(p, svgeom.McConfig(2000, 5)).histogram.to_csv(
+        tmp_path / "lib.csv")
+    assert (tmp_path / "cli.csv").read_bytes() == \
+        (tmp_path / "lib.csv").read_bytes()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["reach", "--dims", "1"]) == 1
     assert main(["nonsense"]) == 1

@@ -14,7 +14,8 @@ from svgeom.manifold import (
 )
 from svgeom.matchings import expected_minor_sum_exact
 from svgeom.montecarlo import McConfig, mc_minor_sum, mc_tube_volume
-from svgeom.tube import chi2_moment, radial_integral, radial_integrals, tube_coefficient
+from svgeom.tube import (chi2_moment, radial_integral, radial_integrals,
+                         sphere_volume, tube_coefficient)
 from svgeom.weingarten import (
     WeingartenMatrix,
     principal_minor_sums_batch,
@@ -66,6 +67,16 @@ _GUARDS = {
         "profile length"),
     "chi2_moment arguments": (
         lambda: chi2_moment(-1, 2), "invalid moment arguments"),
+    "chi2_moment bool order": (
+        lambda: chi2_moment(True, 3), "moment arguments must be integers"),
+    "chi2_moment non-integer order": (
+        lambda: chi2_moment(1.5, 3), "moment arguments must be integers"),
+    "chi2_moment bool degrees of freedom": (
+        lambda: chi2_moment(1, np.True_), "moment arguments must be integers"),
+    "sphere_volume bool dimension": (
+        lambda: sphere_volume(True), "sphere dimension must be integers"),
+    "sphere_volume non-integer dimension": (
+        lambda: sphere_volume(2.5), "sphere dimension must be integers"),
     "tube_volume codimension": (
         lambda: tube_volume(SpaceSpec((1,), (1,)), 0.3), "positive codimension"),
     "WeingartenMatrix shape": (
@@ -133,3 +144,10 @@ def test_numpy_real_radii_are_accepted():
     want = tube_volume(QUADRATIC, 0.25).volume
     for eps in (np.float64(0.25), np.float32(0.25)):
         assert tube_volume(QUADRATIC, eps).volume == pytest.approx(want, rel=1e-7)
+
+
+def test_integer_valued_moment_and_sphere_arguments_are_accepted():
+    assert chi2_moment(np.int64(2), np.int32(7)) == chi2_moment(2, 7) == 63.0
+    assert chi2_moment(2.0, 7.0) == 63.0
+    for k in (np.int64(2), 2.0):
+        assert sphere_volume(k) == sphere_volume(2)

@@ -114,10 +114,48 @@ def test_config_output_is_keyword_only():
         McConfig(100, 1, 4)
 
 
-def test_only_the_determinant_oracle_takes_an_output_path():
+def test_no_estimator_takes_an_output_path(tmp_path):
+    # The CSV is written by the caller, with stats.histogram.to_csv.
     assert not hasattr(McConfig(10), "output")
     with pytest.raises(TypeError):
         McConfig(10, output="ignored.csv")
+    path = tmp_path / "h.csv"
+    with pytest.raises(TypeError):
+        mc_expected_det(MatchingProblem((1, 1), (1, 1)), McConfig(10),
+                        output=path)
+    assert not path.exists()
+
+
+def test_histogram_is_built_on_its_first_read(monkeypatch):
+    calls = []
+
+    def spy(values):
+        calls.append(values)
+        return _make_histogram(values)
+
+    monkeypatch.setattr(montecarlo, "_make_histogram", spy)
+    p = MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1))
+    stats = mc_expected_det(p, McConfig(20_000, seed=3))
+    assert calls == []
+    hist = stats.histogram
+    assert len(calls) == 1 and calls[0] is stats.determinants
+    assert stats.histogram is hist
+    assert len(calls) == 1
+
+
+def test_expected_det_keeps_its_determinants():
+    p = MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1))
+    stats = mc_expected_det(p, McConfig(10_000, seed=9))
+    assert stats.determinants.shape == (10_000,)
+    assert stats.determinants.dtype == np.float64
+    assert (stats.mean, stats.std_error) == \
+        _mean_and_error(stats.determinants)
+
+
+def test_minor_sum_has_no_histogram():
+    stats = mc_minor_sum(SpaceSpec((2, 2), (1, 1)), 1, McConfig(2_000, 4))
+    assert stats.determinants is None
+    assert stats.histogram is None
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +235,8 @@ def test_expected_det_equals_lapack_on_the_same_streams(sizes, degrees,
 def test_histogram_csv_format(tmp_path):
     path = tmp_path / "hist.csv"
     p = MatchingProblem((1, 1), (1, 1))
-    stats = mc_expected_det(p, McConfig(5_000, seed=14), output=path)
+    stats = mc_expected_det(p, McConfig(5_000, seed=14))
+    stats.histogram.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "bin_left,bin_right,count"
     assert len(lines) == 101
@@ -210,7 +249,8 @@ def test_histogram_csv_format(tmp_path):
 def test_expected_det_writes_its_histogram(tmp_path):
     path = tmp_path / "hist.csv"
     p = MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1))
-    stats = mc_expected_det(p, McConfig(2_000, seed=22), output=path)
+    stats = mc_expected_det(p, McConfig(2_000, seed=22))
+    stats.histogram.to_csv(path)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     assert [int(row[2]) for row in rows] == stats.histogram.counts.tolist()
     assert [float(row[0]) for row in rows] == \
@@ -254,13 +294,13 @@ def test_histogram_edges_equal_numpy_quantiles_bit_for_bit(name):
 
 def test_expected_det_leaves_numpy_ma_unimported():
     # np.quantile imports numpy.ma through np.unique on its first call,
-    # which would cost every fresh process its first mc_expected_det.
+    # which would cost every fresh process its first histogram.
     script = (
         "import sys\n"
         "from svgeom import MatchingProblem, McConfig, mc_expected_det\n"
         "p = MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1))\n"
         f"for samples in (500, {2 * BATCH_SIZE + 1}):\n"
-        "    mc_expected_det(p, McConfig(samples, seed=3))\n"
+        "    mc_expected_det(p, McConfig(samples, seed=3)).histogram\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
     src = str(Path(svgeom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
