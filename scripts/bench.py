@@ -11,6 +11,14 @@ drift of the machine does not favour one side.  The file holds, per
 workload and metric, each side's runs, median and quartiles, and the number
 of pairs in which the after run was lower; per checkout, its commit and the
 line count of src/svgeom.  mc_samples_per_s is read from the run's report.
+
+Each end-to-end metric that BENCHMARK.json (beside this script's directory,
+read only) declares also gets a verdict, printed and stored: `gain` when the
+after run is better in at least 9 of 10 pairs and its median beats the
+before median by more than the before quartile spread; `worse` when its
+median is worse than the before median by more than the metric's relative
+`bound`; otherwise `unchanged` when the medians differ by at most that
+spread, and `unresolved` when they differ by more.
 A checkout's commit is recorded only when the checkout is the root of its
 own git work tree (a clone, say), and is null otherwise: a `git archive`
 copy unpacked inside another work tree would report that tree's HEAD.
@@ -32,6 +40,7 @@ WORKLOADS = ("exact-tube", "mc-vectorized", "mc-generic", "cli-queries")
 SIDES = ("before", "after")
 RATE = re.compile(r"^# mc_samples_per_s (\S+) 1/s$", re.MULTILINE)
 PAIRS = 10
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run_once(checkout: Path, workload: str, seed: int,
@@ -82,6 +91,23 @@ def compare(runs: dict) -> dict:
     return out
 
 
+def verdict(metric: dict, spec: dict) -> str:
+    """gain, worse, unchanged or unresolved, for one metric's `compare`
+    entry and its BENCHMARK.json declaration (better, bound)."""
+    before, after = metric["before"], metric["after"]
+    sign = 1.0 if spec["better"] == "lower" else -1.0
+    pairs = len(before["runs"])
+    better_pairs = (metric["after_lower_pairs"] if sign > 0 else sum(
+        a > b for b, a in zip(before["runs"], after["runs"])))
+    gap = sign * (before["median"] - after["median"])
+    spread = before["q3"] - before["q1"]
+    if better_pairs >= 0.9 * pairs and gap > spread:
+        return "gain"
+    if -gap > spec["bound"] * abs(before["median"]):
+        return "worse"
+    return "unchanged" if abs(gap) <= spread else "unresolved"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path, required=True)
@@ -91,6 +117,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
+    declared = {spec["name"]: spec for spec in
+                json.loads(BENCHMARK.read_text())["end_to_end"]}
     checkouts = {"before": args.before.resolve(),
                  "after": args.after.resolve()}
     doc = {
@@ -114,10 +142,14 @@ def main(argv=None) -> int:
                                args.seconds)
                 runs[side].append(run)
                 print(workload, i, side, json.dumps(run), flush=True)
+        metrics = compare(runs)
+        for name in filter(declared.__contains__, metrics):
+            metrics[name]["verdict"] = verdict(metrics[name], declared[name])
+            print(workload, name, metrics[name]["verdict"], flush=True)
         doc["workloads"][workload] = {
             "correct": {side: all(r["correct"] and not r["failed"]
                                   for r in runs[side]) for side in SIDES},
-            "metrics": compare(runs)}
+            "metrics": metrics}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -17,6 +17,7 @@ products of factor coefficient vectors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -102,6 +103,15 @@ def _integers(name: str, values) -> tuple[int, ...]:
     if ints != values or not _BOOLS.isdisjoint(map(type, values)):
         raise DomainError(f"{name} must be integers, not {values!r}")
     return ints
+
+
+def _integer(name: str, value, least: int):
+    """value if an integer >= least, numpy's too but no bool; else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .bw_algebra import Array, SpaceSpec, Tensor, kron_all, veronese_coeffs
 from .errors import DomainError
-from .manifold import SegrePoint, base_point, embed, normal_split
+# normal_split is not called here; perfbench/tracer.py wraps the binding.
+from .manifold import SegrePoint, base_point, embed, normal_split  # noqa: F401
 
 _MIN_TOTAL_DEGREE = 2
 # Step of the central second differences.
@@ -68,17 +69,6 @@ def second_derivative_fd(space: SpaceSpec, v) -> Array:
     zero = geodesic_eval(space, v, 0.0).coeffs
     minus = geodesic_eval(space, v, -FD_STEP).coeffs
     return (plus - 2.0 * zero + minus) / (FD_STEP * FD_STEP)
-
-
-def curve_component_norms(space: SpaceSpec, v) -> tuple[float, float]:
-    """(tangential, normal) norms of the numeric second derivative."""
-    split = normal_split(space)
-    acc = second_derivative_fd(space, v)
-    tangential_sq = float(np.dot(acc[split.tangent_indices],
-                                 acc[split.tangent_indices]))
-    base_sq = float(acc[split.base_index] ** 2)
-    normal_sq = float(np.dot(acc, acc)) - tangential_sq - base_sq
-    return math.sqrt(tangential_sq), math.sqrt(max(normal_sq, 0.0))
 
 
 def curvature_closed_form(speeds, degrees) -> float:

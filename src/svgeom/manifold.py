@@ -259,11 +259,21 @@ class RankOneResult:
     converged: bool
 
 
+@lru_cache(maxsize=None)
+def _quadratic_plan(n: int) -> tuple[Array, Array]:
+    """Row and scale of each entry's one nonzero `multiply_table` term."""
+    table = multiply_table(n, 2)
+    rows = np.argmax(table != 0.0, axis=1)
+    return rows, np.take_along_axis(table, rows[:, None], 1)[:, 0, :, None]
+
+
 def _quadratic_forms(columns: Array, n: int) -> Array:
     """The (n + 1, n + 1, batch) symmetric matrices m[j, k] = <x_j x_k, p>,
     so that p(ell) = ell^T m ell, one per column p of a (coefficients,
-    batch) array of quadratics."""
-    return np.tensordot(multiply_table(n, 2), columns, axes=(1, 0))
+    batch) array of quadratics, gathered off the table: no BLAS call."""
+    rows, scale = _quadratic_plan(n)
+    forms = np.take(columns, rows, axis=0)
+    return np.multiply(forms, scale, out=forms)
 
 
 def _gram(space: SpaceSpec, rows: Array) -> Array:
@@ -351,8 +361,8 @@ def _real_parts_of_roots(q: Array) -> Array:
     return np.linalg.eigvals(comp).real
 
 
-def _best_angle(samples: Array, d: int) -> Array:
-    """Angle of the global maximizer of |p| on the circle, per binary
+def _critical_values(samples: Array, d: int) -> tuple[Array, Array, Array]:
+    """phi, candidates tan(theta) and p(theta + phi) there, per binary
     d-form p given by its values at the grid angles of `_circle_plan(d)`.
 
     Turned by the grid angle phi = k pi / (d + 1) with the largest
@@ -368,7 +378,12 @@ def _best_angle(samples: Array, d: int) -> Array:
     q[:, :-1] = np.arange(1, d + 1) * a[:, 1:]
     q[:, 1:] -= np.arange(d, 0, -1) * a[:, :-1]
     t = _real_parts_of_roots(q)
-    values = polyval(t.T, a.T, tensor=False).T / (1.0 + t * t) ** (d / 2)
+    return phi, t, polyval(t.T, a.T, tensor=False).T / (1.0 + t * t) ** (d / 2)
+
+
+def _best_angle(samples: Array, d: int) -> Array:
+    """Angle of the global maximizer of |p|, among `_critical_values`."""
+    phi, t, values = _critical_values(samples, d)
     return phi + np.arctan(t[np.arange(len(t)), np.argmax(np.abs(values), 1)])
 
 
@@ -528,38 +543,66 @@ def _pencil_top_singular_value(t: Array) -> Array:
     s_1 at the best candidate, which the rank-one point of its top singular
     vectors attains.
     """
-    g = np.einsum("mxyc,mzwc->mxyzw", t, t)
-
-    def gram(y, w):
-        """<m_y, m_w> on the monomials cos^2, cos sin, sin^2."""
-        return np.stack([g[:, 0, y, 0, w], g[:, 0, y, 1, w] + g[:, 1, y, 0, w],
-                         g[:, 1, y, 1, w]], axis=1)
-
-    def derivative(c):
-        """The theta-derivative of a quadratic on the same monomials."""
-        return np.stack([c[:, 1], 2.0 * (c[:, 2] - c[:, 0]), -c[:, 1]], axis=1)
-
-    def monomials(theta):
-        cos, sin = np.cos(theta), np.sin(theta)
-        return cos * cos, cos * sin, sin * sin
-
-    def at(c, mono):
-        return (c[:, 0, None] * mono[0] + c[:, 1, None] * mono[1]
-                + c[:, 2, None] * mono[2])
-
-    f, e, r = gram(0, 0) + gram(1, 1), gram(0, 0) - gram(1, 1), gram(0, 1)
-    grid = monomials(_circle_plan(8).angles[None, :])
-    ek, rk = at(e, grid), at(r, grid)
-    octic = (at(derivative(f), grid) ** 2 * (ek * ek + 4.0 * rk * rk)
-             - (ek * at(derivative(e), grid)
-                + 4.0 * rk * at(derivative(r), grid)) ** 2)
+    forms = _pencil_forms(t)
+    f = forms[0]
+    # The theta-derivatives of F, p - q and r, on the same monomials.
+    slopes = np.stack([forms[..., 1], 2.0 * (forms[..., 2] - forms[..., 0]),
+                       -forms[..., 1]], axis=-1)
+    ek, rk, df, de, dr = _at(np.concatenate([forms[1:], slopes]),
+                             _circle_plan(8).angles)
+    octic = df ** 2 * (ek * ek + 4.0 * rk * rk) - (ek * de + 4.0 * rk * dr) ** 2
     phi, w = _turned_frame(octic, 8, 8)
     theta = np.concatenate([phi[:, None] + np.arctan(_real_parts_of_roots(w)),
                             0.5 * np.arctan2(f[:, 1:2], f[:, :1] - f[:, 2:])],
                            axis=1)
-    best = monomials(theta)
-    return np.max(np.sqrt(at(f, best) / 2.0
-                          + np.hypot(at(e, best) / 2.0, at(r, best))), axis=1)
+    fb, eb, rb = _at(forms, theta)
+    return np.max(np.sqrt(fb / 2.0 + np.hypot(eb / 2.0, rb)), axis=1)
+
+
+def _pencil_forms(t: Array) -> Array:
+    """F, p - q, r of `_pencil_top_singular_value` on cos^2, cos sin, sin^2."""
+    g = np.einsum("mxyc,mzwc->mxyzw", t, t)
+    p, q, r = (np.stack([g[:, 0, y, 0, w], g[:, 0, y, 1, w] + g[:, 1, y, 0, w],
+                         g[:, 1, y, 1, w]], axis=1)
+               for y, w in ((0, 0), (1, 1), (0, 1)))
+    return np.stack([p + q, p - q, r])
+
+
+def _at(c: Array, theta: Array) -> Array:
+    """Quadratics c[..., b, :] at angles theta[b, :], or theta[:] for all b."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    return (c[..., 0, None] * (cos * cos) + c[..., 1, None] * (cos * sin)
+            + c[..., 2, None] * (sin * sin))
+
+
+def _pencil(space: SpaceSpec, rows: Array) -> Array | None:
+    """Rows of a pencil space, three degree-one factors two of them binary,
+    as (batch, 2, 2, m + 1) arrays, binary factors first; else None."""
+    dims = space.dims
+    if space.degrees == (1, 1, 1) and dims.count(1) >= 2:
+        order = sorted(range(3), key=lambda i: dims[i] != 1)
+        return rows.reshape(-1, *space.factor_dims).transpose(
+            0, *(1 + i for i in order))
+
+
+def _pencil_hits(t: Array, c: float | Array) -> Array:
+    """`_pencil_top_singular_value(t) > c`, c >= 0 for all t or per t: where
+    H = 2 c^2 (x^2 + y^2) - F < 0 (min H = 2 c^2 - max F) or G = D - H^2 > 0
+    (max G over its grid samples and `_critical_values`), or by the octic
+    where |max G| <= 1e-9 (|F_0| + |F_1| + |F_2| + 2 c^2)^2, near rounding."""
+    c = np.broadcast_to(c, t.shape[:1])
+    twice = 2.0 * c * c
+    forms = _pencil_forms(t)
+    f = forms[0]
+    dips = f[:, 0] + f[:, 2] + np.hypot(f[:, 0] - f[:, 2], f[:, 1]) > 2.0 * twice
+    fk, ek, rk = _at(forms, _circle_plan(4).angles)
+    g = ek * ek + 4.0 * rk * rk - (twice[:, None] - fk) ** 2
+    top = np.maximum(g.max(axis=1), _critical_values(g, 4)[2].max(axis=1))
+    band = 1e-9 * (np.abs(f).sum(axis=1) + twice) ** 2
+    hits, close = dips | (top > band), ~dips & (np.abs(top) <= band)
+    if close.any():
+        hits[close] = _pencil_top_singular_value(t[close]) > c[close]
+    return hits
 
 
 # Restarts of `max_correlation_batch`'s HOPM; sweep cap of `rank_one_distance`.
@@ -594,9 +637,9 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
     Every other space runs the batched alternating maximization with
     BATCH_RESTARTS restarts, which can end at a local maximum.
 
-    `mc_tube_volume` needs only whether a row's value exceeds cos(eps)
-    times the row's norm, and on the quadratic and Gram spaces it decides
-    that with `_is_positive_definite` instead of calling this function."""
+    `mc_tube_volume` needs only whether a row's value exceeds cos(eps) |row|
+    and decides that without this function on the quadratic and Gram spaces
+    (`_is_positive_definite`) and on the pencil spaces (`_pencil_hits`)."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != space.ambient_dim:
         raise DomainError("batch shape does not match the space")
@@ -614,14 +657,14 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
     linear = degrees.index(1) if space.r == 2 and 1 in degrees else None
     binary_linear = (linear is not None and dims[1 - linear] == 1
                      and degrees[1 - linear] >= 2)
-    pencil = degrees == (1, 1, 1) and dims.count(1) >= 2
     # The exact kernels, which HOPM's factor steps share, square entries
     # (the Gram matrices) or raise them to the degree, and HOPM's stopping
     # rule takes row norms, so each row is scaled to largest |entry| 1
     # first: otherwise entries beyond about 1e+-150 underflow or overflow.
     scale = np.max(np.abs(points), axis=1, initial=0.0)
     unit = points / np.where(scale > 0.0, scale, 1.0)[:, None]
-    if not (quadratic or binary or binary_linear or pencil
+    pencil = _pencil(space, unit)
+    if not (quadratic or binary or binary_linear or pencil is not None
             or degrees == (1, 1)):
         return scale * _best_rank_one(space, unit, BATCH_RESTARTS, 200)[0]
     if quadratic:
@@ -637,10 +680,7 @@ def max_correlation_batch(space: SpaceSpec, points: Array) -> Array:
         if linear == 0:
             t = t.swapaxes(1, 2)
         return scale * _binary_times_linear(t, degrees[1 - linear])
-    if pencil:
-        binary_first = sorted(range(3), key=lambda i: dims[i] != 1)
-        t = unit.reshape(-1, *space.factor_dims).transpose(
-            0, *(1 + i for i in binary_first))
-        return scale * _pencil_top_singular_value(t)
+    if pencil is not None:
+        return scale * _pencil_top_singular_value(pencil)
     gram = np.moveaxis(_gram(space, unit), -1, 0)
     return scale * np.sqrt(np.linalg.eigvalsh(gram)[:, -1])

@@ -19,17 +19,18 @@ read, and a caller writes the CSV with `stats.histogram.to_csv(path)`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .bw_algebra import SpaceSpec
+from .bw_algebra import SpaceSpec, _integer
 from .errors import DomainError, ResourceError
 from .manifold import (
     _gram,
     _is_positive_definite,
+    _pencil,
+    _pencil_hits,
     _quadratic_forms,
     max_correlation_batch,
 )
@@ -53,17 +54,8 @@ class McConfig:
     seed: int = 42
 
     def __post_init__(self):
-        # bool is an Integral too, but True is no sample count.
-        for name in ("samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or \
-                    not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, "
-                                  f"not {value!r}")
-        if self.samples < 1:
-            raise DomainError("samples must be >= 1")
-        if self.seed < 0:
-            raise DomainError("seed must be nonnegative")
+        _integer("samples", self.samples, 1)
+        _integer("seed", self.seed, 0)
 
 
 def _batch_counts(samples: int) -> list[int]:
@@ -280,11 +272,11 @@ def _hits(space: SpaceSpec, points: np.ndarray,
     threshold I - A or threshold I + A is not positive definite; for two
     degree-one factors it is the square root of the largest eigenvalue of
     the Gram matrix G, and a row hits exactly when threshold^2 I - G is
-    not.  Every other space compares `max_correlation_batch` with the
-    threshold.  Every test is homogeneous of degree one in the row and its
-    threshold, so rows need not be unit: a row y lies in the tube of
-    radius eps about the cone over the manifold exactly when it hits at
-    threshold cos(eps) |y|.
+    not; `_pencil_hits` decides the pencil spaces, and every other space
+    compares `max_correlation_batch` with the threshold.  Each test is
+    homogeneous of degree one in the row and its threshold, so a row y
+    lies in the tube of radius eps about the cone over the manifold
+    exactly when it hits at threshold cos(eps) |y|.
     """
     if space.degrees == (2,) and space.dims != (1,):
         a = _quadratic_forms(points.T, space.dims[0])
@@ -293,6 +285,9 @@ def _hits(space: SpaceSpec, points: np.ndarray,
     if space.degrees == (1, 1):
         gram = _gram(space, points)
         return ~_is_positive_definite(gram, threshold ** 2, -1.0)
+    pencil = _pencil(space, points)
+    if pencil is not None:
+        return _pencil_hits(pencil, threshold)
     return max_correlation_batch(space, points) > threshold
 
 
@@ -303,10 +298,10 @@ def mc_tube_volume(space: SpaceSpec, eps: float, cfg: McConfig) -> McVolume:
     counts those whose best rank-one correlation exceeds cos(eps) |y| (the
     row y is not normalized; `_hits` is homogeneous), and scales the hit
     fraction by the sphere volume.  The standard error comes from the binomial
-    variance of the hit count.  On quadratic spaces other than (1,)/(2,)
-    and on two degree-one factors, a row's hit is decided by a
-    positive-definiteness test (`_hits`), which agrees with the correlation
-    except on rows within rounding of cos(eps).
+    variance of the hit count.  On quadratic spaces other than (1,)/(2,),
+    on two degree-one factors and on the pencil spaces, `_hits` decides a
+    row's hit without the correlation, and agrees with it except on rows
+    within rounding of cos(eps).
     """
     if space.ambient_dim > MC_TUBE_AMBIENT_CAP:
         raise ResourceError(

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bw_algebra import Array, SpaceSpec, Tensor, _integers
+from .bw_algebra import Array, SpaceSpec, Tensor, _integer, _integers
 from .errors import DomainError
 from .geodesics_reach import second_derivative_fd
 from .manifold import normal_split, project_components
@@ -256,14 +256,14 @@ def sample_block_matrix_batch(group_sizes, profile: VarianceProfile,
 def sample_gaussian_weingarten(space: SpaceSpec, seed: int,
                                method: str = "assemble",
                                profile: VarianceProfile | None = None) -> WeingartenMatrix:
-    """One random shape operator, deterministic per seed.
+    """One random shape operator, deterministic per seed (an integer >= 0).
 
     method "assemble" draws Gaussian normal coordinates and assembles the
     operator (the canonical path) and takes no profile.  method "direct"
     uses the block sampler with the given profile; the default profile is
     the one that reproduces the assembled distribution.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     if method == "assemble":
         if profile is not None:
             raise DomainError("a variance profile applies to method 'direct' only")

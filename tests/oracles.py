@@ -4,12 +4,15 @@ Each enumerates its definition literally, so it shares no code with the
 recursion or batched kernel it checks.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from svgeom import DomainError, ResourceError
+from svgeom.geodesics_reach import second_derivative_fd
+from svgeom.manifold import normal_split
 from svgeom.matchings import BRUTE_FORCE_VERTEX_CAP, MatchingProblem, _edge_weight
 
 
@@ -47,3 +50,15 @@ def principal_minor_sum(matrix, k: int) -> float:
         sel = np.ix_(subset, subset)
         total += float(np.linalg.det(mat[sel]))
     return total
+
+
+def curve_component_norms(space, v) -> tuple[float, float]:
+    """(tangential, normal) norms of the numeric second derivative of the
+    curve with tangent v, `second_derivative_fd`, split by `normal_split`."""
+    split = normal_split(space)
+    acc = second_derivative_fd(space, v)
+    tangential_sq = float(np.dot(acc[split.tangent_indices],
+                                 acc[split.tangent_indices]))
+    base_sq = float(acc[split.base_index] ** 2)
+    normal_sq = float(np.dot(acc, acc)) - tangential_sq - base_sq
+    return math.sqrt(tangential_sq), math.sqrt(max(normal_sq, 0.0))

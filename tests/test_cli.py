@@ -314,6 +314,22 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("weingarten", "--dims", "2", "--degrees", "2"),
+    ("weingarten", "--dims", "2", "--degrees", "2", "--method", "direct"),
+    ("mc-det", "--dims", "1,1", "--degrees", "1,1", "--samples", "10"),
+    ("mc-tube", "--dims", "1", "--degrees", "2", "--epsilon", "0.3",
+     "--samples", "10")],
+    ids=["weingarten", "weingarten-direct", "mc-det", "mc-tube"])
+def test_negative_seed_is_a_domain_error(capsys, argv):
+    # weingarten once passed the seed to numpy unchecked, which raised a
+    # bare ValueError out of main.
+    code, doc, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert doc is None
+    assert err == "domain error: seed must be >= 0\n"
+
+
 def test_mc_det_csv_equals_the_histogram_writer(capsys, tmp_path):
     argv = ["mc-det", "--dims", "2,2,1,1", "--degrees", "1,1,1,1",
             "--samples", "2000", "--seed", "5"]

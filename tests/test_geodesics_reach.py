@@ -11,7 +11,6 @@ from svgeom.geodesics_reach import (
     _critical_speeds,
     bottleneck_check,
     curvature_closed_form,
-    curve_component_norms,
     extremal_curvature,
     geodesic_eval,
     optimize_curvature,
@@ -19,6 +18,8 @@ from svgeom.geodesics_reach import (
     rho2,
 )
 from svgeom.manifold import base_point, embed, veronese_embed
+
+from oracles import curve_component_norms
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,23 @@ _RADIUS_CALLS = {
     "radial_integrals": lambda eps: radial_integrals(QUADRATIC, eps),
     "mc_tube_volume": lambda eps: mc_tube_volume(QUADRATIC, eps, ONE_SAMPLE),
 }
+# A negative, bool, float or string seed, to both callers of the one
+# seed check; numpy integers are accepted (test_montecarlo).
+_SEED_CALLS = {
+    "McConfig": lambda seed: McConfig(1, seed),
+    "sample_gaussian_weingarten assemble":
+        lambda seed: sample_gaussian_weingarten(QUADRATIC, seed),
+    "sample_gaussian_weingarten direct":
+        lambda seed: sample_gaussian_weingarten(QUADRATIC, seed, "direct"),
+}
+for _name, _call in _SEED_CALLS.items():
+    for _bad, _message in ((-1, "seed must be >= 0"),
+                           (True, "seed must be an integer"),
+                           (np.True_, "seed must be an integer"),
+                           (1.5, "seed must be an integer"),
+                           ("3", "seed must be an integer")):
+        _GUARDS[f"{_name} seed {_bad!r}"] = (
+            lambda call=_call, bad=_bad: call(bad), _message)
 for _name, _call in _ORDER_CALLS.items():
     for _bad in (True, 1.5, "1"):
         _GUARDS[f"{_name} order {_bad!r}"] = (

@@ -15,6 +15,7 @@ from svgeom.bw_algebra import (
     evaluate,
     gaussian_tensor,
     multi_indices,
+    multiply_table,
     random_orthogonal,
     veronese_coeffs,
 )
@@ -467,6 +468,18 @@ def test_quadratic_forms_evaluate_the_form(n):
             1e-12 * np.linalg.norm(columns[:, b]) * (ell @ ell)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_quadratic_forms_equal_the_table_contraction_bit_for_bit(n):
+    # Each entry has one nonzero term of the multiply-by-x_j table, so the
+    # gather must give the contraction's bits, on a transposed batch too,
+    # as `_maximize_factor` passes one.
+    rng = np.random.default_rng([28, n])
+    rows = rng.standard_normal((1000, (n + 1) * (n + 2) // 2))
+    want = np.tensordot(multiply_table(n, 2), rows.T, axes=(1, 0))
+    for columns in (rows.T, np.ascontiguousarray(rows.T)):
+        assert _quadratic_forms(columns, n).tobytes() == want.tobytes()
+
+
 def _form_coefficients(mats):
     """Coefficient rows of the quadratic forms ell^T m ell of a batch of
     symmetric matrices m, (batch, n + 1, n + 1), read off the monomial
@@ -875,6 +888,59 @@ def test_degenerate_pencils_are_not_below_hopm_or_a_scan(m):
     # Alternating maximization converges slowly where s_1 = s_2 and stops
     # up to 7e-7 low on these rows, so the scan is the sharper floor.
     assert np.all(got >= _pencil_scan(rows.reshape(-1, 2, 2, m + 1)) - 1e-14)
+
+
+def _pencil_decision_rows(m, rng):
+    """6,010 pencils t of (2, 2, m + 1), each of unit norm, then scaled by
+    a factor from 1e-3 to 1e3: 1,000 each with t[1] = 0; orthogonal
+    pencils U (I, cJ) V, on which s_1 = s_2 at every angle, turned by a
+    random angle, and those with noise of 1e-9 and 1e-6; rank-one pencils;
+    Gaussian pencils; and 10 zero pencils."""
+    count = 1000
+    t = rng.standard_normal((6 * count + 10, 2, 2, m + 1))
+    t[:count, 1] = 0.0
+    u = np.linalg.qr(rng.standard_normal((count, 2, 2)))[0]
+    v = np.swapaxes(np.linalg.qr(rng.standard_normal((count, m + 1, 2)))[0],
+                    1, 2)
+    c = rng.uniform(0.2, 3.0, (count, 1, 1))
+    t0, t1 = u @ v, c * (u @ np.array([[0.0, -1.0], [1.0, 0.0]]) @ v)
+    turn = rng.uniform(0.0, 2.0 * math.pi, (count, 1, 1))
+    orthogonal = np.stack([np.cos(turn) * t0 - np.sin(turn) * t1,
+                           np.sin(turn) * t0 + np.cos(turn) * t1], axis=1)
+    for k, noise in enumerate((0.0, 1e-9, 1e-6)):
+        t[(1 + k) * count:(2 + k) * count] = (
+            orthogonal + noise * rng.standard_normal(orthogonal.shape))
+    x, y, z = (rng.standard_normal((count, n)) for n in (2, 2, m + 1))
+    t[4 * count:5 * count] = np.einsum("bi,bj,bk->bijk", x, y, z)
+    t[-10:] = 0.0
+    norm = np.linalg.norm(t.reshape(len(t), -1), axis=1)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, len(t))
+    return t * (scale / np.where(norm > 0.0, norm, 1.0))[:, None, None, None], scale
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 3), (1, 3, 1), (3, 1, 1)])
+def test_pencil_decision_matches_correlation(dims):
+    # The Monte Carlo hit test of the pencil spaces reads signs of a
+    # quadratic and a quartic; it must equal corr > tau wherever corr is
+    # not within 1e-12 of tau, at the cosines of fixed radii times each
+    # row's scale and 1e-9 on either side of each row's own correlation.
+    # The orthogonal pencils near their correlation are the rows on which
+    # the quartic's sign sinks below rounding.
+    space = SpaceSpec(dims, (1, 1, 1))
+    m = max(dims)
+    t, scale = _pencil_decision_rows(m, np.random.default_rng([31, *dims]))
+    order = (0, *(1 + i for i in sorted(range(3), key=lambda i: dims[i] != 1)))
+    rows = t.transpose(np.argsort(order)).reshape(len(t), -1)
+    assert np.array_equal(manifold._pencil(space, rows), t)
+    corr = manifold._pencil_top_singular_value(t)
+    radii = (0.05, 0.2, 0.4, 0.6, math.pi / 4, 1.2, math.pi / 2)
+    for tau in [math.cos(eps) * scale for eps in radii] + [
+            np.maximum(corr - 1e-9, 0.0), corr + 1e-9]:
+        far = np.abs(corr - tau) > 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _hits(space, rows, tau)
+        assert np.array_equal(got[far], (corr > tau)[far])
 
 
 def test_rank_one_distance_flags_non_convergence(monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import math
 import multiprocessing
 import os
@@ -680,6 +681,28 @@ def test_calls_of_one_batch_leave_concurrent_futures_unimported():
     assert done.returncode == 0, done.stderr
 
 
+def test_a_tube_call_leaves_no_blas_thread_spinning():
+    # With two OpenBLAS threads, a BLAS call on a large batch wakes the
+    # pool, whose worker then spins a core for about 0.1 s after it: a
+    # tensordot in `_quadratic_forms` once burned 99.9 ms of CPU in the
+    # 0.1 s sleep below.  (3,)/(2,) runs 20,000 samples in three batches.
+    script = (
+        "import time\n"
+        "from svgeom import McConfig, SpaceSpec, mc_tube_volume\n"
+        "time.sleep(0.3)\n"
+        "mc_tube_volume(SpaceSpec((3,), (2,)), 0.4, McConfig(20_000, 3))\n"
+        "start = time.process_time()\n"
+        "time.sleep(0.1)\n"
+        "print(time.process_time() - start)\n")
+    src = str(Path(svgeom.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 0.02
+
+
 def test_closing_the_batches_joins_the_helper(monkeypatch):
     started = _record_threads(monkeypatch)
     batches = montecarlo._batch_normals(McConfig(6 * BATCH_SIZE, seed=11), 2)
@@ -808,11 +831,19 @@ def test_no_traced_sampler_runs_off_the_calling_thread(monkeypatch):
     assert set(idents["assemble_batch"]) == {threading.get_ident()}
 
 
-def test_montecarlo_keeps_the_bindings_the_span_tracer_wraps():
-    for name in ("sample_block_matrix_batch", "gaussian_weingarten_batch",
-                 "principal_minor_sums_batch", "max_correlation_batch",
-                 "mc_tube_volume", "mc_expected_det", "mc_minor_sum"):
-        assert callable(getattr(montecarlo, name))
+def test_every_binding_the_span_tracer_wraps_resolves():
+    # Tracer.install looks up each (module, attribute) of BINDINGS, so one
+    # moved name breaks every traced benchmark run.  BINDINGS is read from
+    # the tracer's source, without importing it.
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    bindings, = (ast.literal_eval(node.value)
+                 for node in ast.parse(tracer.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["BINDINGS"])
+    import svgeom.cli  # noqa: F401
+    assert len(bindings) > 30
+    for module, attr in bindings:
+        assert callable(getattr(sys.modules[module], attr)), (module, attr)
 
 
 def _tube_hits_in_child(conn):
