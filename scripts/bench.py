@@ -11,6 +11,9 @@ drift of the machine does not favour one side.  The file holds, per
 workload and metric, each side's runs, median and quartiles, and the number
 of pairs in which the after run was lower; per checkout, its commit and the
 line count of src/svgeom.  mc_samples_per_s is read from the run's report.
+A checkout's commit is recorded only when the checkout is the root of its
+own git work tree (a clone, say), and is null otherwise: a `git archive`
+copy unpacked inside another work tree would report that tree's HEAD.
 
 Each end-to-end metric that BENCHMARK.json (beside this script's directory,
 read only) declares also gets a verdict, printed and stored: `gain` when the
@@ -18,11 +21,7 @@ after run is better in at least 9 of 10 pairs and its median beats the
 before median by more than the before quartile spread; `worse` when its
 median is worse than the before median by more than the metric's relative
 `bound`; otherwise `unchanged` when the medians differ by at most that
-spread, and `unresolved` when they differ by more.
-A checkout's commit is recorded only when the checkout is the root of its
-own git work tree (a clone, say), and is null otherwise: a `git archive`
-copy unpacked inside another work tree would report that tree's HEAD.
-Standard library only.
+spread, and `unresolved` when they differ by more.  Standard library only.
 """
 
 from __future__ import annotations

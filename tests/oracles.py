@@ -1,7 +1,7 @@
-"""Brute-force oracles that only the tests use.
+"""Brute-force oracles and numeric helpers that only the tests use.
 
-Each enumerates its definition literally, so it shares no code with the
-recursion or batched kernel it checks.
+Each oracle enumerates its definition literally, so it shares no code with
+the recursion or batched kernel it checks.
 """
 
 import math
