@@ -23,8 +23,7 @@ import numpy as np
 
 from .bw_algebra import Array, SpaceSpec, Tensor, kron_all, veronese_coeffs
 from .errors import DomainError
-# normal_split is not called here; perfbench/tracer.py wraps the binding.
-from .manifold import SegrePoint, base_point, embed, normal_split  # noqa: F401
+from .manifold import SegrePoint, base_point, embed, normal_split
 
 _MIN_TOTAL_DEGREE = 2
 # Step of the central second differences.

@@ -135,32 +135,9 @@ class Histogram:
 _TAILS = np.array([0.0005, 0.9995])
 
 
-def _tail_quantiles(values: np.ndarray) -> np.ndarray:
-    """np.quantile(values, _TAILS) of a finite 1-D array, bit for bit.
-
-    The same linear interpolation between order statistics, numpy's
-    `_lerp` included, but the order statistics come from one
-    `np.partition` instead of `np.quantile`, whose `np.unique` imports
-    numpy.ma on first use.
-    """
-    n = values.shape[0]
-    virtual = (n - 1) * _TAILS
-    above = virtual >= n - 1
-    # numpy's indices: -1, the maximum, wherever the index reaches it.
-    lower = np.where(above, -1, np.floor(virtual)).astype(np.intp)
-    upper = np.where(above, -1, lower + 1)
-    ordered = np.partition(values, np.concatenate((lower, upper)) % n)
-    a, b = ordered[lower], ordered[upper]
-    t = virtual - lower
-    diff = b - a
-    edges = a + diff * t
-    np.subtract(b, diff * (1 - t), out=edges, where=t >= 0.5)
-    return edges
-
-
 def _make_histogram(values: np.ndarray) -> Histogram:
     # Heavy determinant tails would otherwise dominate the binning.
-    lo, hi = _tail_quantiles(values)
+    lo, hi = np.quantile(values, _TAILS)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     counts, edges = np.histogram(values, bins=100, range=(float(lo), float(hi)))

@@ -12,6 +12,7 @@ from svgeom.bw_algebra import (
     Tensor,
     apply_orthogonal,
     bw_inner,
+    compose_matrix,
     evaluate,
     gaussian_tensor,
     multi_indices,
@@ -275,6 +276,44 @@ def test_group_action_maps_points_to_points():
         refit = rank_one_distance(Tensor(space, moved.coeffs / moved.norm))
         assert refit.distance <= 1e-6
         assert abs(abs(bw_inner(embed(refit.point), moved)) - 1.0) <= 1e-8
+
+
+# Every exact path of `max_correlation_batch`, each layout of the Gram,
+# binary-times-linear and pencil paths included.  The HOPM spaces,
+# (2,)/(3,), (1,2)/(1,2), (1,1)/(2,3), (1,1,1)/(1,1,2) and (1,1)/(2,2), are
+# not covered: 8-restart HOPM stops at local maxima and moves by up to 0.45
+# relative under a rotation; they join once they get an exact path or a
+# certified hit test.  A rotation cannot catch a Gram matrix taken on the
+# wrong side of a square row, or the two binary pencil factors swapped:
+# both leave the correlation unchanged.
+ROTATION_SPACES = [
+    ((3,), (1,)), ((1,), (2,)), ((3,), (2,)), ((2, 2), (1, 1)),
+    ((3, 2), (1, 1)), ((1, 3), (1, 1)), ((1,), (3,)), ((1,), (4,)),
+    ((1, 1), (2, 1)), ((2, 1), (1, 3)), ((1, 1, 1), (1, 1, 1)),
+    ((2, 1, 1), (1, 1, 1)), ((1, 3, 1), (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("dims,degrees", ROTATION_SPACES)
+def test_exact_correlation_paths_are_rotation_invariant(dims, degrees):
+    # max <y, x> over unit rank-one x is invariant when each factor is
+    # rotated, the substitution `apply_orthogonal` makes, here applied to
+    # a whole batch through `compose_matrix`.
+    space = SpaceSpec(dims, degrees)
+    rng = np.random.default_rng([41, *dims, *degrees])
+    rows = rng.standard_normal((2_000, space.ambient_dim))
+    t = rows.reshape(-1, *space.factor_dims)
+    for axis, (n, d) in enumerate(zip(dims, degrees), start=1):
+        m = compose_matrix(random_orthogonal(n + 1, rng), d)
+        t = np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
+    moved = t.reshape(rows.shape)
+    want = max_correlation_batch(space, rows)
+    assert np.all(np.abs(max_correlation_batch(space, moved) - want)
+                  <= 1e-13 * want)
+    tau = math.cos(0.6) * np.linalg.norm(rows, axis=1)
+    far = np.abs(want - tau) > 1e-9 * tau
+    assert np.array_equal(_hits(space, moved, tau)[far],
+                          _hits(space, rows, tau)[far])
 
 
 # ---------------------------------------------------------------------------
