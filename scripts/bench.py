@@ -20,8 +20,16 @@ read only) declares also gets a verdict, printed and stored: `gain` when the
 after run is better in at least 9 of 10 pairs and its median beats the
 before median by more than the before quartile spread; `worse` when its
 median is worse than the before median by more than the metric's relative
-`bound`; otherwise `unchanged` when the medians differ by at most that
-spread, and `unresolved` when they differ by more.  Standard library only.
+`bound`; `unresolved` when the before spread is wider than that bound,
+unless every after run beats every before run; otherwise `unchanged` when
+the medians differ by at most that spread, and `unresolved` when they
+differ by more.
+
+A run that exits non-zero (perfbench/run.py exits 2 when a worker dies or
+the run passes its deadline) is kept with its exit code and the tail of
+its stderr, as not correct and with no metrics.  It is left out of the
+summaries, every verdict of its workload is `unresolved`, the file is
+still written, and the script returns 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,11 +52,16 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 def run_once(checkout: Path, workload: str, seed: int,
              seconds: float) -> dict:
-    """One untraced benchmark run: its metrics, correctness and failures."""
+    """One untraced benchmark run: its metrics, correctness and failures,
+    or, if it exits non-zero, its exit code and the tail of its stderr."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        return {"metrics": {}, "correct": False, "failed": None,
+                "exit_code": done.returncode,
+                "stderr": done.stderr[-4000:]}
     result = json.loads(done.stdout.strip().splitlines()[-1])
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     rate = RATE.search(done.stdout)
@@ -58,7 +71,9 @@ def run_once(checkout: Path, workload: str, seed: int,
             "failed": result["failed"]}
 
 
-def summary(values: list[float]) -> dict:
+def summary(values: list[float]) -> dict | None:
+    if not values:
+        return None
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                       if len(values) > 1 else values * 3)
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -79,14 +94,19 @@ def commit(checkout: Path) -> str | None:
 
 
 def compare(runs: dict) -> dict:
-    """Per metric: each side's summary and the pairs where after < before."""
+    """Per metric: each side's summary of its completed runs and the pairs
+    where after < before; a failed run has no metrics."""
+    names = dict.fromkeys(name for side in SIDES for run in runs[side]
+                          for name in run["metrics"])
     out = {}
-    for name in runs["before"][0]["metrics"]:
-        sides = {side: [r["metrics"][name] for r in runs[side]]
+    for name in names:
+        sides = {side: [r["metrics"].get(name) for r in runs[side]]
                  for side in SIDES}
-        out[name] = {side: summary(sides[side]) for side in SIDES}
+        out[name] = {side: summary([v for v in sides[side] if v is not None])
+                     for side in SIDES}
         out[name]["after_lower_pairs"] = sum(
-            a < b for b, a in zip(sides["before"], sides["after"]))
+            a < b for b, a in zip(sides["before"], sides["after"])
+            if a is not None and b is not None)
     return out
 
 
@@ -104,6 +124,9 @@ def verdict(metric: dict, spec: dict) -> str:
         return "gain"
     if -gap > spec["bound"] * abs(before["median"]):
         return "worse"
+    if spread > spec["bound"] * abs(before["median"]) and not all(
+            sign * (b - a) > 0 for b in before["runs"] for a in after["runs"]):
+        return "unresolved"
     return "unchanged" if abs(gap) <= spread else "unresolved"
 
 
@@ -142,15 +165,19 @@ def main(argv=None) -> int:
                 runs[side].append(run)
                 print(workload, i, side, json.dumps(run), flush=True)
         metrics = compare(runs)
+        failures = [dict(run, pair=i, side=side) for side in SIDES
+                    for i, run in enumerate(runs[side]) if "exit_code" in run]
         for name in filter(declared.__contains__, metrics):
-            metrics[name]["verdict"] = verdict(metrics[name], declared[name])
+            metrics[name]["verdict"] = ("unresolved" if failures else
+                                        verdict(metrics[name], declared[name]))
             print(workload, name, metrics[name]["verdict"], flush=True)
         doc["workloads"][workload] = {
             "correct": {side: all(r["correct"] and not r["failed"]
                                   for r in runs[side]) for side in SIDES},
+            "failed_runs": failures,
             "metrics": metrics}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    return int(any(w["failed_runs"] for w in doc["workloads"].values()))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ Gaussian rows are never normalized.
 
 A call of several batches fills batches 1, 2, ... in order on a one-thread
 executor, ahead of the calling thread, which fills batch 0 and runs every
-kernel (`_batch_normals`); outputs are bit-identical to filling one batch
+kernel (`_estimate`); outputs are bit-identical to filling one batch
 after the other.  No estimator writes a file: mc_expected_det keeps its
 determinants (8 bytes a sample), which `McStats.histogram` bins on first
 read, and a caller writes the CSV with `stats.histogram.to_csv(path)`.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -72,50 +72,44 @@ def _draw(seed: int, index: int, out: np.ndarray) -> None:
 RING_SLOTS = 3
 
 
-def _batch_normals(cfg: McConfig, per_sample: int, fill=None):
-    """(count, count * per_sample floats) per batch, valid until the next.
+def _estimate(cfg: McConfig, per_sample: int, kernel, fill=None) -> list:
+    """[kernel(count, floats) for each batch], run on the calling thread.
 
-    fill(k, count, out) writes batch k's floats, by default its normals
-    (`_draw`).  One batch is filled inline; otherwise batch k fills slot
+    fill(k, out) writes batch k's count * per_sample floats, by default its
+    normals (`_draw`); an output must not be a view of floats, whose slot
+    is refilled.  One batch is filled inline; otherwise batch k fills slot
     k % RING_SLOTS of a ring, batch 0 on the calling thread and 1, 2, ...
     in order on a one-thread executor, so a fill must call no binding the
     benchmark's span tracer wraps.  Batch k + RING_SLOTS is submitted once
-    the caller hands batch k back, and later batches are yielded once
-    their futures are done.  Kernels run only on the calling thread.  A
-    fill's error is raised in the caller; returning, closing or an error
-    in the caller cancels the pending fills and joins the executor.
+    batch k's kernel returns.  A fill's error is raised in the caller; the
+    call's return or error cancels the pending fills and joins the executor.
     """
     if fill is None:
-        def fill(k: int, count: int, out: np.ndarray) -> None:
-            _draw(cfg.seed, k, out)
-    if cfg.samples <= BATCH_SIZE:
-        normals = np.empty(cfg.samples * per_sample)
-        fill(0, cfg.samples, normals)
-        yield cfg.samples, normals
-        return
+        fill = partial(_draw, cfg.seed)
+    counts = _batch_counts(cfg.samples)
+    if len(counts) == 1:
+        floats = np.empty(cfg.samples * per_sample)
+        fill(0, floats)
+        return [kernel(cfg.samples, floats)]
     # Not at the top: concurrent.futures imports logging, slowing startup.
     from concurrent.futures import ThreadPoolExecutor
-    counts = _batch_counts(cfg.samples)
     ring = np.empty((RING_SLOTS, BATCH_SIZE * per_sample))
+    slots = [ring[k % RING_SLOTS, :count * per_sample]
+             for k, count in enumerate(counts)]
     helper = ThreadPoolExecutor(max_workers=1)
-    drawn = {}
-
-    def slot(k: int) -> np.ndarray:
-        return ring[k % RING_SLOTS, :counts[k] * per_sample]
-
-    def draw_ahead(k: int) -> None:
-        if k < len(counts):
-            drawn[k] = helper.submit(fill, k, counts[k], slot(k))
-
     try:
-        for k in range(1, RING_SLOTS):
-            draw_ahead(k)
-        fill(0, counts[0], slot(0))
+        filled = {k: helper.submit(fill, k, slots[k])
+                  for k in range(1, min(RING_SLOTS, len(counts)))}
+        fill(0, slots[0])
+        outputs = []
         for k, count in enumerate(counts):
             if k:
-                drawn.pop(k).result()
-            yield count, slot(k)
-            draw_ahead(k + RING_SLOTS)
+                filled.pop(k).result()
+            outputs.append(kernel(count, slots[k]))
+            if k + RING_SLOTS < len(counts):
+                filled[k + RING_SLOTS] = helper.submit(
+                    fill, k + RING_SLOTS, slots[k + RING_SLOTS])
+        return outputs
     finally:
         helper.shutdown(cancel_futures=True)
 
@@ -204,15 +198,15 @@ def mc_expected_det(problem: MatchingProblem, cfg: McConfig) -> McStats:
     signed weighted matching sum, and `McStats.histogram` bins them."""
     m = sum(problem.group_sizes)
 
-    def place(k: int, count: int, out: np.ndarray) -> None:
+    def place(k: int, out: np.ndarray) -> None:
         place_block_entries(problem.group_sizes, problem.profile,
                             lambda entries: _draw(cfg.seed, k, entries),
-                            out.reshape(m * m, count))
+                            out.reshape(m * m, -1))
 
     # Each slot is overwritten by its determinants, and refilled after.
-    values = np.concatenate([
-        _determinants(mats.reshape(m, m, count))
-        for count, mats in _batch_normals(cfg, m * m, place)])
+    values = np.concatenate(_estimate(
+        cfg, m * m, lambda count, mats: _determinants(mats.reshape(m, m, -1)),
+        place))
     mean, std_error = _mean_and_error(values)
     return McStats(mean, std_error, cfg.samples, cfg.seed, values)
 
@@ -220,12 +214,11 @@ def mc_expected_det(problem: MatchingProblem, cfg: McConfig) -> McStats:
 def mc_minor_sum(space: SpaceSpec, i: int, cfg: McConfig) -> McStats:
     """Average sum of 2i x 2i principal minors of sampled shape operators."""
     i = _minor_order(i, space)
-    chunks = []
-    for count, normals in _batch_normals(cfg, curved_normal_dim(space)):
-        # Unnamed, a batch's operators are freed before the next's exist.
-        chunks.append(principal_minor_sums_batch(
-            assemble_normals(space, normals, count), 2 * i))
-    mean, std_error = _mean_and_error(np.concatenate(chunks))
+    # Unnamed, a batch's operators are freed before the next's exist.
+    mean, std_error = _mean_and_error(np.concatenate(_estimate(
+        cfg, curved_normal_dim(space),
+        lambda count, normals: principal_minor_sums_batch(
+            assemble_normals(space, normals, count), 2 * i))))
     return McStats(mean, std_error, cfg.samples, cfg.seed)
 
 
@@ -253,7 +246,9 @@ def _hits(space: SpaceSpec, points: np.ndarray,
     compares `max_correlation_batch` with the threshold.  Each test is
     homogeneous of degree one in the row and its threshold, so a row y
     lies in the tube of radius eps about the cone over the manifold
-    exactly when it hits at threshold cos(eps) |y|.
+    exactly when it hits at threshold cos(eps) |y|, up to rounding: rows
+    are not scaled, so the pencil test (degree 4) fails past about 1e+-77
+    and the Gram test (degree 2) past 1e+-154.
     """
     if space.degrees == (2,) and space.dims != (1,):
         a = _quadratic_forms(points.T, space.dims[0])
@@ -286,11 +281,13 @@ def mc_tube_volume(space: SpaceSpec, eps: float, cfg: McConfig) -> McVolume:
             f"sampling cap {MC_TUBE_AMBIENT_CAP}; use a smaller space")
     _check_radius(eps)
     threshold = math.cos(eps)
-    hits = 0
-    for count, normals in _batch_normals(cfg, space.ambient_dim):
+
+    def count_hits(count: int, normals: np.ndarray) -> int:
         points = normals.reshape(count, space.ambient_dim)
         norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-        hits += int(np.count_nonzero(_hits(space, points, threshold * norms)))
+        return int(np.count_nonzero(_hits(space, points, threshold * norms)))
+
+    hits = sum(_estimate(cfg, space.ambient_dim, count_hits))
     fraction = hits / cfg.samples
     total = sphere_volume(space.sphere_dim)
     volume = fraction * total

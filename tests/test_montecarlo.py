@@ -578,31 +578,39 @@ def _finishes_within(seconds, target):
     return not caller.is_alive()
 
 
-def test_a_helper_error_is_raised_in_the_caller(monkeypatch):
+# (batches, failing batch): within the first ring, on the last batch of a
+# call with fewer batches than RING_SLOTS, and on the last of six.
+FAILURES = [(6, 2), (2, 1), (6, 5)]
+
+
+@pytest.mark.parametrize("batches,failing_batch", FAILURES)
+def test_a_helper_error_is_raised_in_the_caller(batches, failing_batch,
+                                                monkeypatch):
     started = _record_threads(monkeypatch)
     hits = montecarlo._hits
     tested = []
-    batch_1_tested = threading.Event()
+    earlier_tested = threading.Event()
 
     def counted(*args):
         result = hits(*args)
         tested.append(len(tested))
-        if len(tested) == 2:
-            batch_1_tested.set()
+        if len(tested) == failing_batch:
+            earlier_tested.set()
         return result
 
     def failing(seed, index, out):
-        # Batch 2 fails only once the caller is past batch 1, so the
-        # caller is waiting for batch 2, not about to see the error.
-        if index == 2:
-            batch_1_tested.wait(30)
-            raise RuntimeError("draw failed on batch 2")
+        # The batch fails only once the caller has tested every earlier
+        # batch, so the caller is waiting for it, not about to see the
+        # error.
+        if index == failing_batch:
+            earlier_tested.wait(30)
+            raise RuntimeError(f"draw failed on batch {index}")
         _draw(seed, index, out)
 
     def call():
-        with pytest.raises(RuntimeError, match="batch 2"):
+        with pytest.raises(RuntimeError, match=f"batch {failing_batch}"):
             mc_tube_volume(SpaceSpec((1,), (2,)), 0.3,
-                           McConfig(6 * BATCH_SIZE, seed=10))
+                           McConfig(batches * BATCH_SIZE, seed=10))
         done.append(True)
 
     monkeypatch.setattr(montecarlo, "_hits", counted)
@@ -610,33 +618,35 @@ def test_a_helper_error_is_raised_in_the_caller(monkeypatch):
     done = []
     assert _finishes_within(60, call), "the call did not return within 60 s"
     assert done == [True]
-    assert tested == [0, 1]
+    assert tested == list(range(failing_batch))
     assert len(started) == 2                 # the caller and its helper
     assert not any(thread.is_alive() for thread in started)
 
 
 def test_the_helper_draws_no_further_ahead_than_the_ring(monkeypatch):
-    # Batch k + RING_SLOTS fills batch k's slot, so while the caller holds
-    # batch k the helper must not have started a draw past
+    # Batch k + RING_SLOTS fills batch k's slot, so while batch k's kernel
+    # runs the helper must not have started a draw past
     # k + RING_SLOTS - 1, and batch k must still hold its own normals.
     cfg = McConfig(6 * BATCH_SIZE, seed=12)
     started = []
+    kernels = []
 
     def recorded(seed, index, out):
         started.append(index)
         _draw(seed, index, out)
 
+    def kernel(count, floats):
+        k = len(kernels)
+        kernels.append(k)
+        time.sleep(0.2)                  # time for the helper to run ahead
+        assert max(started) <= k + RING_SLOTS - 1
+        want = np.random.default_rng([cfg.seed, k]).standard_normal(
+            2 * count)
+        assert np.array_equal(floats, want)
+
     monkeypatch.setattr(montecarlo, "_draw", recorded)
-    batches = montecarlo._batch_normals(cfg, 2)
-    try:
-        for k, (count, normals) in enumerate(batches):
-            time.sleep(0.2)              # time for the helper to run ahead
-            assert max(started) <= k + RING_SLOTS - 1
-            want = np.random.default_rng([cfg.seed, k]).standard_normal(
-                2 * count)
-            assert np.array_equal(normals, want)
-    finally:
-        batches.close()
+    montecarlo._estimate(cfg, 2, kernel)
+    assert kernels == list(range(6))
     assert sorted(started) == list(range(6))
 
 
@@ -682,35 +692,22 @@ def test_a_tube_call_leaves_no_blas_thread_spinning():
     assert float(done.stdout) < 0.02
 
 
-def test_closing_the_batches_joins_the_helper(monkeypatch):
-    started = _record_threads(monkeypatch)
-    batches = montecarlo._batch_normals(McConfig(6 * BATCH_SIZE, seed=11), 2)
-    next(batches)
-    next(batches)
-    # Batch 4 is not submitted until batch 1 is handed back, so the
-    # helper's thread idles on its executor's queue, alive.
-    [helper] = started
-    assert helper.is_alive()
-    assert _finishes_within(60, batches.close), \
-        "closing did not return within 60 s"
-    assert not helper.is_alive()
-
-
-def test_a_kernel_error_stops_the_helper(monkeypatch):
+@pytest.mark.parametrize("batches,failing_batch", FAILURES)
+def test_a_kernel_error_stops_the_helper(batches, failing_batch, monkeypatch):
     started = _record_threads(monkeypatch)
     determinants = montecarlo._determinants
-    batches = []
+    run = []
 
     def failing(a):
-        batches.append(len(batches))
-        if batches[-1] == 2:
-            raise RuntimeError("kernel failed on batch 2")
+        run.append(len(run))
+        if run[-1] == failing_batch:
+            raise RuntimeError(f"kernel failed on batch {failing_batch}")
         return determinants(a)
 
     def call():
-        with pytest.raises(RuntimeError, match="batch 2"):
+        with pytest.raises(RuntimeError, match=f"batch {failing_batch}"):
             mc_expected_det(MatchingProblem((2, 2, 1, 1), (1, 1, 1, 1)),
-                            McConfig(6 * BATCH_SIZE, seed=10))
+                            McConfig(batches * BATCH_SIZE, seed=10))
         done.append(True)
 
     monkeypatch.setattr(montecarlo, "_determinants", failing)
@@ -722,7 +719,7 @@ def test_a_kernel_error_stops_the_helper(monkeypatch):
     caller.join(60)
     assert not caller.is_alive(), "the call did not return within 60 s"
     assert done == [True]
-    assert batches == [0, 1, 2]
+    assert run == list(range(failing_batch + 1))
     assert len(started) == 2                 # the caller and its helper
     assert not any(thread.is_alive() for thread in started)
 
@@ -738,8 +735,8 @@ def test_concurrent_calls_under_fast_switching_keep_their_streams(
     wrong = []
 
     def check(cfg, per_sample):
-        got = [normals.copy() for _, normals in
-               montecarlo._batch_normals(cfg, per_sample)]
+        got = montecarlo._estimate(cfg, per_sample,
+                                   lambda count, floats: floats.copy())
         want = [rng.standard_normal(count * per_sample)
                 for rng, count in _batch_streams(cfg)]
         if len(got) != len(want) or \
