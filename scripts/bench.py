@@ -18,7 +18,8 @@ copy unpacked inside another work tree would report that tree's HEAD.
 Each end-to-end metric that BENCHMARK.json (beside this script's directory,
 read only) declares also gets a verdict, printed and stored: `gain` when the
 after run is better in at least 9 of 10 pairs and its median beats the
-before median by more than the before quartile spread; `worse` when its
+before median by more than the before quartile spread, and at least 10
+pairs ran (with fewer, such a result is `unresolved`); `worse` when its
 median is worse than the before median by more than the metric's relative
 `bound`; `unresolved` when the before spread is wider than that bound,
 unless every after run beats every before run; otherwise `unchanged` when
@@ -121,7 +122,7 @@ def verdict(metric: dict, spec: dict) -> str:
     gap = sign * (before["median"] - after["median"])
     spread = before["q3"] - before["q1"]
     if better_pairs >= 0.9 * pairs and gap > spread:
-        return "gain"
+        return "gain" if pairs >= PAIRS else "unresolved"
     if -gap > spec["bound"] * abs(before["median"]):
         return "worse"
     if spread > spec["bound"] * abs(before["median"]) and not all(

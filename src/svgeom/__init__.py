@@ -6,8 +6,8 @@ manifolds.  The curvature and tube closed forms are cross-validated against
 independent brute force, quadrature, finite-difference, Monte Carlo and
 Gauss-Bonnet oracles; the reach has no independent oracle yet.
 
-The package root exports what scripts and library callers use; everything
-else is imported from the module that defines it.
+The package root exports the library's entry points, the ones the command
+line calls; everything else is imported from the module that defines it.
 """
 
 from .bw_algebra import SpaceSpec

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -75,21 +75,22 @@ RING_SLOTS = 3
 def _estimate(cfg: McConfig, per_sample: int, kernel, fill=None) -> list:
     """[kernel(count, floats) for each batch], run on the calling thread.
 
-    fill(k, out) writes batch k's count * per_sample floats, by default its
-    normals (`_draw`); an output must not be a view of floats, whose slot
-    is refilled.  One batch is filled inline; otherwise batch k fills slot
-    k % RING_SLOTS of a ring, batch 0 on the calling thread and 1, 2, ...
-    in order on a one-thread executor, so a fill must call no binding the
-    benchmark's span tracer wraps.  Batch k + RING_SLOTS is submitted once
-    batch k's kernel returns.  A fill's error is raised in the caller; the
-    call's return or error cancels the pending fills and joins the executor.
+    fill(k, count, out) writes batch k's count * per_sample floats, by
+    default its normals (`_draw`); an output must not be a view of floats,
+    whose slot is refilled.  One batch is filled inline; otherwise batch k
+    fills slot k % RING_SLOTS of a ring, batch 0 on the calling thread and
+    1, 2, ... in order on a one-thread executor, so a fill must call no
+    binding the benchmark's span tracer wraps.  Batch k + RING_SLOTS is
+    submitted once batch k's kernel returns.  A fill's error is raised in
+    the caller; the call's return or error cancels the pending fills and
+    joins the executor.
     """
     if fill is None:
-        fill = partial(_draw, cfg.seed)
+        fill = lambda k, count, out: _draw(cfg.seed, k, out)  # noqa: E731
     counts = _batch_counts(cfg.samples)
     if len(counts) == 1:
         floats = np.empty(cfg.samples * per_sample)
-        fill(0, floats)
+        fill(0, cfg.samples, floats)
         return [kernel(cfg.samples, floats)]
     # Not at the top: concurrent.futures imports logging, slowing startup.
     from concurrent.futures import ThreadPoolExecutor
@@ -98,17 +99,17 @@ def _estimate(cfg: McConfig, per_sample: int, kernel, fill=None) -> list:
              for k, count in enumerate(counts)]
     helper = ThreadPoolExecutor(max_workers=1)
     try:
-        filled = {k: helper.submit(fill, k, slots[k])
+        filled = {k: helper.submit(fill, k, counts[k], slots[k])
                   for k in range(1, min(RING_SLOTS, len(counts)))}
-        fill(0, slots[0])
+        fill(0, counts[0], slots[0])
         outputs = []
         for k, count in enumerate(counts):
             if k:
                 filled.pop(k).result()
             outputs.append(kernel(count, slots[k]))
-            if k + RING_SLOTS < len(counts):
-                filled[k + RING_SLOTS] = helper.submit(
-                    fill, k + RING_SLOTS, slots[k + RING_SLOTS])
+            j = k + RING_SLOTS
+            if j < len(counts):
+                filled[j] = helper.submit(fill, j, counts[j], slots[j])
         return outputs
     finally:
         helper.shutdown(cancel_futures=True)
@@ -198,15 +199,15 @@ def mc_expected_det(problem: MatchingProblem, cfg: McConfig) -> McStats:
     signed weighted matching sum, and `McStats.histogram` bins them."""
     m = sum(problem.group_sizes)
 
-    def place(k: int, out: np.ndarray) -> None:
+    def place(k: int, count: int, out: np.ndarray) -> None:
         place_block_entries(problem.group_sizes, problem.profile,
                             lambda entries: _draw(cfg.seed, k, entries),
-                            out.reshape(m * m, -1))
+                            out.reshape(m * m, count))
 
     # Each slot is overwritten by its determinants, and refilled after.
     values = np.concatenate(_estimate(
-        cfg, m * m, lambda count, mats: _determinants(mats.reshape(m, m, -1)),
-        place))
+        cfg, m * m,
+        lambda count, mats: _determinants(mats.reshape(m, m, count)), place))
     mean, std_error = _mean_and_error(values)
     return McStats(mean, std_error, cfg.samples, cfg.seed, values)
 

@@ -34,6 +34,10 @@ def _metric(after, before=BEFORE):
     # (after, before): equal medians, but a before spread wider than the
     # bound cannot show that nothing changed
     ((WIDE[::-1], WIDE), "lower", "unresolved"),
+    # a gain in every pair, but fewer than ten pairs ran
+    (([0.99], [1.00]), "lower", "unresolved"),
+    (([b - 0.05 for b in BEFORE[:9]], BEFORE[:9]), "lower", "unresolved"),
+    (([b + 0.05 for b in BEFORE[:9]], BEFORE[:9]), "higher", "unresolved"),
 ])
 def test_verdict(after, better, want):
     spec = {"name": "wall_s", "better": better, "bound": 0.25}

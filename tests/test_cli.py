@@ -48,6 +48,13 @@ def test_dd_subcommand(capsys):
     assert doc["config"]["profile"] == "def-d"
 
 
+def test_mc_det_of_a_problem_with_no_vertices(capsys):
+    code, doc, err = run_cli(capsys, "mc-det", "--dims", "0", "--degrees",
+                             "1", "--samples", "3")
+    assert code == 0, err
+    assert doc["mean"] == doc["expected"] == 1.0
+
+
 @pytest.mark.parametrize("argv", [
     ["reach", "--dims", "1", "--degrees", "2"],
     ["curvature", "--dims", "1", "--degrees", "2"],

@@ -184,6 +184,19 @@ def test_det_proof_variance_case():
     assert abs(stats.mean + 6.0) <= 3 * stats.std_error
 
 
+@pytest.mark.parametrize("samples", [1, 3, 20_000])
+@pytest.mark.parametrize("sizes,degrees", [((0,), (1,)), ((0, 0), (1, 2))])
+def test_expected_det_of_a_problem_with_no_vertices_is_one(sizes, degrees,
+                                                           samples):
+    # Every sample is the determinant of the 0 x 0 matrix, 1; 20,000
+    # samples take three batches, and so the ring.
+    p = MatchingProblem(sizes, degrees)
+    stats = mc_expected_det(p, McConfig(samples))
+    assert stats.mean == matching_determinant(p) == 1.0
+    assert stats.std_error == (math.inf if samples == 1 else 0.0)
+    assert np.array_equal(stats.determinants, np.ones(samples))
+
+
 def _hard_batch(n, rng):
     """600 random n x n matrices, as an (n, n, 600) array, among them
     matrices with a zero column, a repeated column, a row that is a
@@ -507,6 +520,30 @@ def test_only_calls_of_several_batches_start_threads(monkeypatch):
     # One helper per call, joined before the call returns.
     assert len(started) == 4
     assert not any(thread.is_alive() for thread in started)
+
+
+def test_every_executor_is_shut_down_before_the_call_returns(monkeypatch):
+    # A call that returns normally must shut its executor down, as one that
+    # raises does.
+    from concurrent import futures
+    created = []
+
+    class Recorded(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.shut_down = False
+            created.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.shut_down = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Recorded)
+    for batches in (2, 6):
+        del created[:]
+        _all_estimators(batches * BATCH_SIZE)
+        assert len(created) == 4                # one per call
+        assert all(executor.shut_down for executor in created)
 
 
 class HeldHelper:
